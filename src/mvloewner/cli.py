@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .cascade import flop_cascade, flop_full, memory_estimate
+from .cascade import make_flop_report
 from .driver import FitOptions, fit_adaptive, fit_direct
 from .errors import (
     DegenerateNullspaceError,
@@ -29,7 +29,15 @@ from .errors import (
 )
 from .grids import Selection, load_source
 from .loewner import build_loewner_nd, build_sylvester_operands, detect_orders, sylvester_residual
-from .model import eval_model, load_model, max_error, model_to_dict
+from .model import (
+    _eval_at_points,
+    _eval_on_grid,
+    _first_worst,
+    eval_model,
+    load_model,
+    max_error,
+    model_to_dict,
+)
 from .realize import (
     build_realization,
     eval_realization,
@@ -54,17 +62,7 @@ def format_complex(value):
 
 
 def write_json_atomic(document, path):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    write_text_atomic(json.dumps(document, indent=1) + "\n", path)
 
 
 def write_text_atomic(text, path):
@@ -218,20 +216,14 @@ def cmd_verify(args):
     checks = {}
 
     support_values = source.values_on_product(model.support_points).reshape(-1)
-    mismatches = []
-    for flat, value in enumerate(support_values):
-        idx = np.unravel_index(flat, model.counts)
-        point = tuple(model.support_points[l][i] for l, i in enumerate(idx))
-        if abs(model.weights_c[flat]) < 1e-12 * np.max(np.abs(model.weights_c)):
-            continue
-        try:
-            produced = eval_model(model, point)
-        except PoleError:
-            mismatches.append(float("inf"))
-            continue
-        scale = max(1.0, abs(value))
-        mismatches.append(abs(produced - value) / scale)
-    interp_err = float(max(mismatches)) if mismatches else 0.0
+    produced, poles = _eval_on_grid(model, model.support_points)
+    mismatches = np.abs(produced.reshape(-1) - support_values)
+    mismatches /= np.maximum(1.0, np.abs(support_values))
+    mismatches[poles.reshape(-1)] = np.inf
+    # tuples whose weight vanishes carry no interpolation condition
+    weights = np.abs(model.weights_c)
+    kept = mismatches[weights >= 1e-12 * np.max(weights)]
+    interp_err = float(np.max(kept)) if kept.size else 0.0
     checks["interpolation"] = {"max_relative_error": interp_err, "ok": bool(interp_err <= 1e-9)}
 
     try:
@@ -254,17 +246,14 @@ def cmd_verify(args):
     else:
         # huge oracle grids: sweep a seeded sample of tuples instead
         rng = np.random.default_rng(args.seed)
-        error, location = -1.0, None
-        for _ in range(5000):
-            point = tuple(
-                g.union_points[rng.integers(g.union_points.size)] for g in source.grids
-            )
-            try:
-                mismatch = abs(eval_model(model, point) - source.value_at(point))
-            except PoleError:
-                mismatch = float("inf")
-            if mismatch > error:
-                error, location = mismatch, point
+        sizes = [g.union_points.size for g in source.grids]
+        indices = rng.integers(0, sizes, size=(5000, len(sizes)))
+        points = np.stack(
+            [g.union_points[indices[:, l]] for l, g in enumerate(source.grids)], axis=1
+        )
+        values, poles = _eval_at_points(model, points)
+        index, error = _first_worst(np.abs(values - source.values_at_indices(indices)), poles)
+        location = tuple(points[index])
     scale = 1.0 + float(
         np.max(np.abs(source.tableau.values))
         if hasattr(source, "tableau")
@@ -300,19 +289,10 @@ def cmd_verify(args):
 
 
 def cmd_flops(args):
-    degrees = _parse_degrees(args.degrees)
-    counts = [d + 1 for d in degrees]
-    if args.order:
-        order = _parse_order(args.order, [])
-        ordered = [counts[i] for i in order]
-    else:
-        ordered = counts
-    document = {
-        "cascaded_flops": flop_cascade(ordered),
-        "full_flops": flop_full(counts),
-        "cascaded_bytes_max": memory_estimate(counts, "cascaded"),
-        "full_bytes": memory_estimate(counts, "full"),
-    }
+    counts = [d + 1 for d in _parse_degrees(args.degrees)]
+    order = _parse_order(args.order, []) if args.order else range(len(counts))
+    document = make_flop_report(counts, order).to_dict()
+    del document["variable_order"]
     print(json.dumps(document))
     return EXIT_OK
 
@@ -337,21 +317,22 @@ def cmd_plot_data(args):
             key, _, value = item.partition("=")
             frozen[key.strip()] = complex(value.replace("i", "j"))
     sweep_index = names.index(name)
+    sweep = np.linspace(lo, hi, count)
+    columns = []
+    for l, var in enumerate(names):
+        if l == sweep_index:
+            columns.append(sweep)
+        elif var in frozen:
+            columns.append(np.full(count, frozen[var]))
+        else:
+            raise MvLoewnerError(f"variable {var!r} is neither swept nor frozen")
+    samples, poles = _eval_at_points(model, np.stack(columns, axis=1))
     lines = ["point,re,im,abs"]
-    for value in np.linspace(lo, hi, count):
-        point = []
-        for l, var in enumerate(names):
-            if l == sweep_index:
-                point.append(complex(value))
-            elif var in frozen:
-                point.append(frozen[var])
-            else:
-                raise MvLoewnerError(f"variable {var!r} is neither swept nor frozen")
-        try:
-            sample = eval_model(model, point)
-            lines.append(f"{value:.12g},{sample.real:.12g},{sample.imag:.12g},{abs(sample):.12g}")
-        except PoleError:
+    for value, sample, pole in zip(sweep, samples, poles):
+        if pole:
             lines.append(f"{value:.12g},inf,inf,inf")
+        else:
+            lines.append(f"{value:.12g},{sample.real:.12g},{sample.imag:.12g},{abs(sample):.12g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         write_text_atomic(text, args.out)

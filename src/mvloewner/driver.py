@@ -3,8 +3,8 @@
 The direct driver estimates per-variable degrees from single-variable
 matrix ranks, selects support points, computes the weight vector (full
 SVD or cascade) and assembles the model and its realization.  The
-adaptive driver starts from a single support tuple (the componentwise
-median of the union grids), then repeatedly promotes the coordinates of
+adaptive driver starts from a single support tuple (the first column
+point of each variable), then repeatedly promotes the coordinates of
 the worst-error grid tuple into the support sets until the sweep error
 drops below tolerance or no coordinate is promotable.
 """

@@ -106,6 +106,14 @@ class DataSource:
         """Sample value at a tuple of grid points (one per variable)."""
         raise NotImplementedError
 
+    def values_at_indices(self, indices):
+        """Sample values at union-grid index tuples.
+
+        ``indices`` is an integer array of shape ``(P, n)``, one row of
+        union-grid indices per tuple; the result has length ``P``.
+        """
+        raise NotImplementedError
+
     def values_on_product(self, per_var_points):
         """Sample tensor over the cartesian product of the given point lists.
 
@@ -157,6 +165,9 @@ class DenseSource(DataSource):
         idx = tuple(g.index_of(v) for g, v in zip(self.grids, point))
         return complex(self.tableau.values[idx])
 
+    def values_at_indices(self, indices):
+        return self.tableau.values[tuple(np.asarray(indices).T)]
+
     def values_on_product(self, per_var_points):
         index_lists = []
         for grid, points in zip(self.grids, per_var_points):
@@ -187,6 +198,15 @@ class OracleSource(DataSource):
         if not np.isfinite(value):
             raise EvaluationError(f"oracle produced a non-finite value at {tuple(point)}")
         return complex(value)
+
+    def values_at_indices(self, indices):
+        indices = np.asarray(indices)
+        assignment = {g.name: g.union_points[indices[:, l]] for l, g in enumerate(self.grids)}
+        values = np.asarray(expressions.evaluate(self.expression, assignment), dtype=complex)
+        values = np.broadcast_to(values, (indices.shape[0],))
+        if not np.all(np.isfinite(values)):
+            raise EvaluationError("oracle produced non-finite values at the requested tuples")
+        return np.array(values)
 
     def values_on_product(self, per_var_points):
         axes = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in per_var_points]
@@ -258,25 +278,6 @@ class Selection:
             [g.column_points for g in source.grids],
             [g.row_points for g in source.grids],
         )
-
-    @classmethod
-    def leading_columns(cls, source, counts):
-        """First ``counts[l]`` column points as support; the rest are rows.
-
-        Leftover column points are prepended to the stored row points, in
-        union order.
-        """
-        cols, rows = [], []
-        for grid, k in zip(source.grids, counts):
-            k = int(k)
-            if k < 1 or k > grid.column_points.size:
-                raise GridError(
-                    f"variable {grid.name!r} has {grid.column_points.size} column points, "
-                    f"cannot select {k}"
-                )
-            cols.append(grid.column_points[:k])
-            rows.append(np.concatenate([grid.column_points[k:], grid.row_points]))
-        return cls(cols, rows)
 
     @classmethod
     def spread_columns(cls, source, counts):

@@ -58,9 +58,6 @@ class SylvesterOperands:
     def lambda_matrix(self, l):
         return np.diag(self.lambda_diags[l])
 
-    def mu_matrix(self, l):
-        return np.diag(self.mu_diags[l])
-
 
 def _check_disjoint_1d(col_pts, row_pts):
     cross = np.subtract.outer(np.asarray(row_pts, complex), np.asarray(col_pts, complex))

@@ -16,7 +16,6 @@ dropped, independently per variable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .errors import GridError, PoleError
 from .grids import _complex_to_pairs, _pairs_to_complex
 
 POLE_THRESHOLD = 1e-300
+SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its peak memory)
 
 
 @dataclass(frozen=True)
@@ -113,25 +113,116 @@ def eval_model(model, point):
     return numerator / denominator
 
 
+def _factor_matrix(support, coordinates):
+    """``(P, k)`` Cauchy factors ``1/(x - lambda)`` of one variable.
+
+    A row whose coordinate equals a support point exactly is instead the
+    indicator of its first match, the interpolation limit of
+    :func:`eval_model`.
+    """
+    diffs = np.asarray(coordinates, dtype=complex).reshape(-1, 1) - support
+    hits = diffs == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = 1.0 / diffs
+    rows = np.nonzero(hits.any(axis=1))[0]
+    if rows.size:
+        factors[rows] = 0.0
+        factors[rows, np.argmax(hits[rows], axis=1)] = 1.0
+    return factors
+
+
+def _quotient(denominator, numerator):
+    poles = np.abs(denominator) < POLE_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numerator / denominator, poles
+
+
+def _eval_on_grid(model, per_var_points):
+    """Model values on the product of per-variable coordinate vectors.
+
+    Returns ``(values, poles)``, both shaped ``tuple(len(p) for p in
+    per_var_points)`` with variable 0 slowest; ``poles`` marks where the
+    denominator vanishes (the value there is meaningless).  The weight
+    tensor is contracted with one factor matrix per variable (a mode
+    product), last variable first as :func:`_contract` does; values agree
+    with :func:`eval_model` up to rounding.
+    """
+    factors = [_factor_matrix(s, p) for s, p in zip(model.support_points, per_var_points)]
+    # layout (2, P_l..P_{n-1}, K_{<l}) with rows 0/1 = denominator/numerator
+    tensor = np.stack([model.weights_c, model.weights_beta])
+    swept, remaining = 1, tensor.shape[1]
+    for factor, k in zip(reversed(factors), reversed(model.counts)):
+        remaining //= k
+        tensor = tensor.reshape(-1, k) @ factor.T
+        tensor = tensor.reshape(2, swept, remaining, -1).transpose(0, 3, 1, 2)
+        swept *= factor.shape[0]
+    tensor = tensor.reshape(2, -1)
+    values, poles = _quotient(tensor[0], tensor[1])
+    shape = tuple(f.shape[0] for f in factors)
+    return values.reshape(shape), poles.reshape(shape)
+
+
+def _eval_at_points(model, points):
+    """Model values at scattered ``(P, n)`` points, as ``(values, poles)``.
+
+    Points are processed in chunks so that no intermediate holds more
+    than about ``SWEEP_CHUNK_BYTES``.
+    """
+    points = np.asarray(points, dtype=complex).reshape(-1, model.n_vars)
+    counts = model.counts
+    weights = np.stack([model.weights_c, model.weights_beta]).reshape(-1, counts[-1])
+    chunk = max(1, SWEEP_CHUNK_BYTES // (weights.itemsize * weights.shape[0]))
+    values = np.empty(points.shape[0], dtype=complex)
+    poles = np.empty(points.shape[0], dtype=bool)
+    for start in range(0, points.shape[0], chunk):
+        block = points[start : start + chunk]
+        factors = [_factor_matrix(s, block[:, l]) for l, s in enumerate(model.support_points)]
+        # layout (B, 2 * K_{<l}, k_l): one weight matrix per point
+        tensor = factors[-1] @ weights.T
+        for factor, k in zip(reversed(factors[:-1]), reversed(counts[:-1])):
+            tensor = np.matmul(tensor.reshape(block.shape[0], -1, k), factor[:, :, None])
+        tensor = tensor.reshape(block.shape[0], 2)
+        values[start : start + chunk], poles[start : start + chunk] = _quotient(
+            tensor[:, 0], tensor[:, 1]
+        )
+    return values, poles
+
+
+def _first_worst(mismatch, poles):
+    """Flat index and value of the first largest mismatch.
+
+    A pole counts as an infinite mismatch, and NaN never wins, as in a
+    running ``mismatch > best`` comparison.
+    """
+    mismatch = np.where(poles, np.inf, mismatch)
+    mismatch[np.isnan(mismatch)] = -np.inf
+    index = int(np.argmax(mismatch))
+    return index, float(mismatch[index])
+
+
 def max_error(model, source):
     """Largest mismatch against a data source over its full union grids.
 
     Returns ``(error, point)`` where ``point`` is the first maximizing
     union-grid tuple in row-major order.  A pole on the sweep reports an
-    infinite error at its location.
+    infinite error at its location.  The grid is swept in slabs of
+    variable 0 of about ``SWEEP_CHUNK_BYTES`` each.
     """
     pools = [g.union_points for g in source.grids]
+    # one complex denominator and numerator per tuple of a variable-0 row
+    per_row = 2 * 16 * math.prod(p.size for p in pools[1:])
+    slab = max(1, SWEEP_CHUNK_BYTES // per_row)
     best = -1.0
     best_point = None
-    for combo in itertools.product(*pools):
-        reference = source.value_at(combo)
-        try:
-            mismatch = abs(eval_model(model, combo) - reference)
-        except PoleError:
-            mismatch = math.inf
-        if mismatch > best:
-            best = mismatch
-            best_point = combo
+    for start in range(0, pools[0].size, slab):
+        block = [pools[0][start : start + slab], *pools[1:]]
+        values, poles = _eval_on_grid(model, block)
+        mismatch = np.abs(values - source.values_on_product(block)).reshape(-1)
+        index, worst = _first_worst(mismatch, poles.reshape(-1))
+        if worst > best:
+            best = worst
+            idx = np.unravel_index(index, values.shape)
+            best_point = tuple(p[i] for p, i in zip(block, idx))
     return float(best), best_point
 
 

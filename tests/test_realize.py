@@ -23,6 +23,7 @@ from mvloewner import (
     realization_from_dict,
     realization_to_dict,
 )
+from mvloewner.realize import LOG_PRODUCT_CUTOFF, lagrange_inverse_weights
 from conftest import C2_EXPECTED
 
 
@@ -47,6 +48,14 @@ def test_companion_weights_and_determinant():
 def test_companion_two_points():
     comp = build_pseudo_companion([-1, -3], "t")
     np.testing.assert_allclose(comp.q_weights.real, [1 / 2, -1 / 2], atol=1e-15)
+
+
+def test_lagrange_weights_log_branch_on_roots_of_unity():
+    # for the n-th roots of unity prod_{k != i} (w_i - w_k) = n / w_i
+    n = 400
+    assert n > LOG_PRODUCT_CUTOFF
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    np.testing.assert_allclose(lagrange_inverse_weights(roots), roots / n, rtol=1e-11)
 
 
 def test_companion_single_point_is_trivial():

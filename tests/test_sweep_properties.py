@@ -1,0 +1,203 @@
+"""Batched model sweeps against the per-tuple loops they replace.
+
+``max_error``, the sampled ``verify`` sweep and ``plot-data`` evaluate the
+model through factor-matrix contractions.  The loops below are the
+per-tuple reference: one scalar ``eval_model`` and one ``value_at`` per
+tuple.  Sums run in a different order, so values agree up to a tolerance
+fixed from double precision, and maximizers must be the same tuple.
+"""
+
+import itertools
+import json
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvloewner import (
+    DenseSource,
+    OracleSource,
+    PoleError,
+    Tableau,
+    VariableGrid,
+    eval_model,
+    make_model,
+    max_error,
+    model_to_dict,
+    parse,
+    source_to_dict,
+)
+from mvloewner import model as model_module
+from mvloewner.cli import main
+from mvloewner.model import _eval_at_points
+
+ABS_TOL = 1e-12
+REL_TOL = 1e-9
+
+SETTINGS = settings(max_examples=60, deadline=None)
+# the default chunk holds these small cases whole; 256 bytes splits them
+CHUNK_BYTES = st.sampled_from([model_module.SWEEP_CHUNK_BYTES, 256])
+
+
+def loop_max_error(model, source):
+    """The per-tuple sweep: first row-major maximizer, a pole counts as inf."""
+    pools = [g.union_points for g in source.grids]
+    best = -1.0
+    best_point = None
+    for combo in itertools.product(*pools):
+        reference = source.value_at(combo)
+        try:
+            mismatch = abs(eval_model(model, combo) - reference)
+        except PoleError:
+            mismatch = math.inf
+        if mismatch > best:
+            best = mismatch
+            best_point = combo
+    return float(best), best_point
+
+
+def loop_sampled_sweep(model, source, seed, samples):
+    """The per-sample sweep of ``verify`` on grids too large to sweep whole."""
+    rng = np.random.default_rng(seed)
+    error, location = -1.0, None
+    for _ in range(samples):
+        point = tuple(g.union_points[rng.integers(g.union_points.size)] for g in source.grids)
+        try:
+            mismatch = abs(eval_model(model, point) - source.value_at(point))
+        except PoleError:
+            mismatch = math.inf
+        if mismatch > error:
+            error, location = mismatch, point
+    return error, location
+
+
+def _complex(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@st.composite
+def models_on_grids(draw):
+    """A random model and a dense random source whose grids hold its supports.
+
+    Per variable, 1-4 support points sit among the column points (in a
+    random position), and 0-3 further points are rows.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    extras = draw(st.lists(st.integers(0, 3), min_size=len(counts), max_size=len(counts)))
+    rng = np.random.default_rng(seed)
+    supports, grids = [], []
+    for l, (k, extra) in enumerate(zip(counts, extras)):
+        points = rng.permutation(np.linspace(-1.0, 1.0, k + extra))
+        support = points[:k]
+        columns = rng.permutation(points[: k + extra // 2])
+        grids.append(VariableGrid(f"x{l + 1}", columns, points[k + extra // 2 :]))
+        supports.append(support)
+    total = math.prod(counts)
+    model = make_model(supports, _complex(rng, total), _complex(rng, total))
+    extents = tuple(g.union_points.size for g in grids)
+    source = DenseSource(Tableau(grids, _complex(rng, extents)))
+    return model, source
+
+
+def _assert_same_sweep(batched, looped):
+    (error, point), (expected_error, expected_point) = batched, looped
+    assert point == expected_point
+    if math.isinf(expected_error):
+        assert error == expected_error
+    else:
+        assert abs(error - expected_error) <= ABS_TOL + REL_TOL * expected_error
+
+
+@SETTINGS
+@given(models_on_grids(), CHUNK_BYTES)
+def test_max_error_matches_per_tuple_loop(case, chunk_bytes):
+    model, source = case
+    with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
+        batched = max_error(model, source)
+    _assert_same_sweep(batched, loop_max_error(model, source))
+
+
+@SETTINGS
+@given(models_on_grids(), st.integers(0, 2**32 - 1))
+def test_max_error_reports_pole_where_loop_does(case, seed):
+    """Denominator weights pairwise equal along the last variable vanish at 1.
+
+    With supports (0, 2) of the last variable, the factors at 1 are
+    (1, -1), so every tuple whose last coordinate is 1 is an exact pole.
+    """
+    model, source = case
+    rng = np.random.default_rng(seed)
+    supports = [*model.support_points[:-1], np.array([0.0, 2.0])]
+    rest = math.prod(model.counts[:-1])
+    c = np.repeat(_complex(rng, rest), 2)
+    pole_model = make_model(supports, c, _complex(rng, 2 * rest))
+    grids = [*source.grids[:-1], VariableGrid(f"x{model.n_vars}", [2.0, 0.0], [1.0, -0.5])]
+    extents = tuple(g.union_points.size for g in grids)
+    pole_source = DenseSource(Tableau(grids, _complex(rng, extents)))
+    batched = max_error(pole_model, pole_source)
+    assert batched[0] == math.inf
+    _assert_same_sweep(batched, loop_max_error(pole_model, pole_source))
+    _, poles = _eval_at_points(pole_model, [[*batched[1][:-1], 1.0], [*batched[1][:-1], -0.5]])
+    assert poles.tolist() == [True, False]
+
+
+@SETTINGS
+@given(models_on_grids(), st.integers(0, 2**32 - 1), CHUNK_BYTES)
+def test_eval_at_points_matches_eval_model(case, seed, chunk_bytes):
+    """Scattered points, each coordinate on a support point or off the grid."""
+    model, _ = case
+    rng = np.random.default_rng(seed)
+    columns = []
+    for support in model.support_points:
+        off = rng.uniform(-1.2, 1.2, 40)
+        on = support[rng.integers(support.size, size=40)]
+        columns.append(np.where(rng.random(40) < 0.5, on, off))
+    points = np.stack(columns, axis=1)
+    with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
+        values, poles = _eval_at_points(model, points)
+    for point, value, pole in zip(points, values, poles):
+        try:
+            expected = eval_model(model, tuple(point))
+        except PoleError:
+            assert pole
+            continue
+        assert not pole
+        assert abs(value - expected) <= ABS_TOL + REL_TOL * abs(expected)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8))
+def test_vectorized_draw_equals_per_sample_draws(seed, sizes):
+    rng = np.random.default_rng(seed)
+    vectorized = rng.integers(0, sizes, size=(64, len(sizes)))
+    rng = np.random.default_rng(seed)
+    scalar = [[rng.integers(size) for size in sizes] for _ in range(64)]
+    np.testing.assert_array_equal(vectorized, scalar)
+
+
+def test_sampled_verify_sweep_matches_per_sample_loop(tmp_path, capsys):
+    """Above 100,000 tuples verify samples 5,000 of them; same draw, same maximizer."""
+    names = ["a", "b", "c", "d"]
+    expression = "1/(1+a^2+b*c)+d/(d+3)"
+    grids = [
+        VariableGrid(v, np.linspace(0.1, 1.0, 9), np.linspace(0.15, 1.05, 9)) for v in names
+    ]
+    source = OracleSource(parse(expression, names), grids)
+    supports = [g.column_points[:2] for g in grids]
+    rng = np.random.default_rng(3)
+    values = source.values_on_product(supports)
+    model = make_model(supports, _complex(rng, 16), values, names=names)
+    data_path = tmp_path / "oracle.json"
+    data_path.write_text(json.dumps(source_to_dict(source)))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_to_dict(model)))
+
+    main(["verify", "--model", str(model_path), "--oracle", str(data_path), "--seed", "5"])
+    sweep = json.loads(capsys.readouterr().out)["checks"]["sweep"]
+    assert sweep["sampled"] is True
+    error, location = loop_sampled_sweep(model, source, 5, 5000)
+    assert sweep["argmax"] == [[float(v.real), float(v.imag)] for v in location]
+    assert abs(sweep["max_error"] - error) <= ABS_TOL + REL_TOL * error
