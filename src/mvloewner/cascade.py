@@ -1,14 +1,15 @@
-"""Recursive per-variable null-space cascade and flop/memory accounting.
+"""Per-variable null-space cascade, level by level, and flop/memory accounting.
 
 Instead of one SVD on the full Q-by-K Loewner matrix, the weight vector is
-assembled from a tree of single-variable null spaces: the first variable
-in the recursion order is solved once with every other variable frozen at
-its anchor support point, then each of its support points roots a
-sub-cascade over the remaining variables.  Every node vector is
-normalized to one at the anchor entry of its variable and scaled by the
-parent coefficient, which makes the whole weight vector factor into
-per-variable arrays (``DecoupledWeights``) recombined by a Hadamard
-product of Kronecker-expanded factors.
+assembled from single-variable null spaces taken level by level along the
+recursion order: level ``l`` solves one small SVD along variable
+``order[l]`` for each support tuple of the earlier variables, with every
+later variable frozen at its anchor support point (level 0 is a single
+node).
+Every node vector is normalized to one at the anchor entry of its
+variable and scaled by its parent coefficient, which makes the whole
+weight vector factor into per-variable arrays (``DecoupledWeights``)
+recombined by a Hadamard product of Kronecker-expanded factors.
 
 Flop accounting follows the convention of charging ``k**3`` per k-column
 null space, so a cascade over support counts ``(k_1, ..., k_n)`` costs
@@ -22,6 +23,7 @@ one ``k_max x k_max`` matrix at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,34 +192,6 @@ class CascadeResult:
     anchors: tuple  # anchor support index per variable, original order
 
 
-class _ReanchorRequest(Exception):
-    def __init__(self, variable, index):
-        self.variable = variable
-        self.index = index
-
-
-def _node_rows(selection, variable):
-    """Row points for a 1-D sub-problem: square if possible, else k-1 rows.
-
-    When more rows are available than needed, the ones nearest to the
-    variable's support set are kept; locality conditions the divided
-    differences far better than an arbitrary prefix when the data is not
-    yet resolved at the current support counts.
-    """
-    k = selection.counts[variable]
-    rows = selection.row_points[variable]
-    if rows.size > k:
-        cols = selection.col_points[variable]
-        distances = np.min(np.abs(rows[:, None] - cols[None, :]), axis=1)
-        return rows[np.argsort(distances, kind="stable")[:k]]
-    if rows.size >= k - 1:
-        return rows
-    raise GridError(
-        f"variable {variable} has {rows.size} row points, "
-        f"need at least {k - 1} for {k} support points"
-    )
-
-
 def cascaded_nullspace(
     source,
     degrees=None,
@@ -271,62 +245,19 @@ def cascaded_nullspace(
         order = tuple(int(i) for i in order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"order {order!r} is not a permutation of 0..{n - 1}")
-    row_sets = [_node_rows(selection, l) for l in range(n)]
+    selection = selection.nearest_rows()
 
     if anchors is None:
         anchors = [counts[l] - 1 for l in range(n)]
     else:
         anchors = [int(a) % counts[l] for l, a in enumerate(anchors)]
 
-    def node_vector(level, frozen_support):
-        variable = order[level]
-        frozen = {}
-        for lev in range(n):
-            var = order[lev]
-            if lev < level:
-                frozen[var] = selection.col_points[var][frozen_support[lev]]
-            elif lev > level:
-                frozen[var] = selection.col_points[var][anchors[var]]
-        cols = selection.col_points[variable]
-        rows = row_sets[variable]
-
-        def values_at(points):
-            per_var = [
-                points if l == variable else np.asarray([frozen[l]])
-                for l in range(n)
-            ]
-            return source.values_on_product(per_var).reshape(-1)
-
-        lm = build_loewner_1d(cols, rows, values_at(cols), values_at(rows))
-        result = nullspace_vector(lm, rel_tol, anchor=anchors[variable])
-        if result.rank < cols.size - 1:
-            frozen_desc = {source.grids[l].name: frozen[l] for l in sorted(frozen)}
-            raise DegenerateNullspaceError(
-                f"ambiguous 1-D null space along variable "
-                f"{source.grids[variable].name!r} ({result.note})",
-                context=frozen_desc,
-            )
-        if result.anchor != anchors[variable]:
-            raise _ReanchorRequest(variable, result.anchor)
-        return result.vector
-
-    factors = None
     for _ in range(max(_MAX_REANCHOR_PASSES, 2 * sum(counts))):
-        factors = [[] for _ in range(n)]
-
-        def descend(level, frozen_support):
-            vector = node_vector(level, frozen_support)
-            factors[level].append(vector)
-            if level + 1 < n:
-                for j in range(counts[order[level]]):
-                    descend(level + 1, frozen_support + (j,))
-
-        try:
-            descend(0, ())
-        except _ReanchorRequest as request:
-            anchors[request.variable] = request.index
-            continue
-        break
+        factors, reanchor = _level_pass(source, selection, order, anchors, rel_tol)
+        if reanchor is None:
+            break
+        variable, index = reanchor
+        anchors[variable] = index
     else:
         raise DegenerateNullspaceError(
             "re-anchoring did not stabilize; the weight vector appears to "
@@ -336,8 +267,51 @@ def cascaded_nullspace(
     decoupled = DecoupledWeights(
         order=order,
         counts_in_order=tuple(counts[i] for i in order),
-        factors=tuple(np.concatenate(level) for level in factors),
+        factors=tuple(factors),
     )
     weights = recombine(decoupled)
     report = make_flop_report(counts, order)
     return CascadeResult(weights, decoupled, report, tuple(anchors))
+
+
+def _level_pass(source, selection, order, anchors, rel_tol):
+    """One pass of the cascade over the levels of the recursion order.
+
+    Level ``l`` solves one 1-D null space along ``order[l]`` per support
+    tuple of the earlier variables, in lexicographic order, with every
+    later variable frozen at its anchor.  Returns ``(factors, None)``, or
+    ``(None, (variable, index))`` as soon as a node's anchor weight
+    vanishes and ``variable`` must be re-anchored at ``index``.
+    """
+    cols, rows = selection.col_points, selection.row_points
+    frozen = [c[a : a + 1] for c, a in zip(cols, anchors)]
+    factors = []
+    for level, variable in enumerate(order):
+        earlier = order[:level]
+        k = cols[variable].size
+        tuples = itertools.product(*(range(cols[v].size) for v in earlier))
+        factor = np.empty((math.prod(cols[v].size for v in earlier), k), dtype=complex)
+        for node, support in enumerate(tuples):
+            per_var = list(frozen)
+            for v, j in zip(earlier, support):
+                per_var[v] = cols[v][j : j + 1]
+            per_var[variable] = cols[variable]
+            col_vals = source.values_on_product(per_var).reshape(-1)
+            per_var[variable] = rows[variable]
+            row_vals = source.values_on_product(per_var).reshape(-1)
+            lm = build_loewner_1d(cols[variable], rows[variable], col_vals, row_vals)
+            result = nullspace_vector(lm, rel_tol, anchor=anchors[variable])
+            if result.rank < k - 1:
+                frozen_desc = {
+                    source.grids[l].name: p[0] for l, p in enumerate(per_var) if l != variable
+                }
+                raise DegenerateNullspaceError(
+                    f"ambiguous 1-D null space along variable "
+                    f"{source.grids[variable].name!r} ({result.note})",
+                    context=frozen_desc,
+                )
+            if result.anchor != anchors[variable]:
+                return None, (variable, result.anchor)
+            factor[node] = result.vector
+        factors.append(factor.reshape(-1))
+    return factors, None

@@ -198,23 +198,6 @@ def _selection_from_pools(grids, chosen):
     return Selection(cols, rows)
 
 
-def _square_nearest(selection):
-    """Per variable, keep only the k rows nearest to the support set.
-
-    Mid-adaptation weight systems are least-squares problems; local rows
-    condition them far better than an arbitrary prefix, and the square
-    shape matches the N**3 accounting convention.
-    """
-    rows = []
-    for cols, pool in zip(selection.col_points, selection.row_points):
-        if pool.size > cols.size:
-            distances = np.min(np.abs(pool[:, None] - cols[None, :]), axis=1)
-            rows.append(pool[np.argsort(distances, kind="stable")[: cols.size]])
-        else:
-            rows.append(pool)
-    return Selection(selection.col_points, rows)
-
-
 def fit_adaptive(source, tol, opts=None):
     """Greedy support enrichment until the grid sweep error meets ``tol``.
 
@@ -234,7 +217,7 @@ def fit_adaptive(source, tol, opts=None):
     best = None
 
     while True:
-        selection = _square_nearest(_selection_from_pools(grids, chosen))
+        selection = _selection_from_pools(grids, chosen).nearest_rows()
         counts = selection.counts
         order = _resolve_order(opts, counts)
         try:

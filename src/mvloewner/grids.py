@@ -271,6 +271,30 @@ class Selection:
     def row_counts(self):
         return tuple(p.size for p in self.row_points)
 
+    def nearest_rows(self):
+        """The same columns with, per variable, at most k rows: the nearest ones.
+
+        A 1-D weight system with more rows than supports is a least-squares
+        problem; rows near the support set condition it far better than an
+        arbitrary prefix, and the square shape matches the ``k**3``
+        accounting convention.  A variable with at most k rows keeps them
+        in their order; one with fewer than k-1 rows cannot reveal a null
+        space and raises :class:`GridError`.
+        """
+        rows = []
+        for l, (cols, pool) in enumerate(zip(self.col_points, self.row_points)):
+            k = cols.size
+            if pool.size > k:
+                distances = np.min(np.abs(pool[:, None] - cols[None, :]), axis=1)
+                pool = pool[np.argsort(distances, kind="stable")[:k]]
+            elif pool.size < k - 1:
+                raise GridError(
+                    f"variable {l} has {pool.size} row points, "
+                    f"need at least {k - 1} for {k} support points"
+                )
+            rows.append(pool)
+        return Selection(self.col_points, rows)
+
     @classmethod
     def full(cls, source):
         """All stored columns as columns, all stored rows as rows."""

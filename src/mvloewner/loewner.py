@@ -15,6 +15,7 @@ verifies numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,10 +81,8 @@ def build_loewner_1d(col_pts, row_pts, col_vals, row_vals):
 
 
 def _kron_of(vectors_or_matrices):
-    out = vectors_or_matrices[0]
-    for item in vectors_or_matrices[1:]:
-        out = np.kron(out, item)
-    return out
+    """Kronecker product of a nonempty sequence, leftmost factor slowest."""
+    return functools.reduce(np.kron, vectors_or_matrices)
 
 
 def estimate_dense_bytes(selection):

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, PoleError
+from .errors import GridError, MemoryGuardError, PoleError
 from .grids import _complex_to_pairs, _pairs_to_complex
-from .loewner import DEFAULT_RANK_TOL
+from .loewner import BYTES_PER_ENTRY, DEFAULT_MEMORY_GUARD, DEFAULT_RANK_TOL, _kron_of
 
 LOG_PRODUCT_CUTOFF = 300
 
@@ -76,25 +76,18 @@ class PseudoCompanion:
         return self.points.size
 
     def evaluate(self, value):
-        n = self.size
         monomials = complex(value) - self.points
-        matrix = np.zeros((n, n), dtype=complex)
-        for i in range(n - 1):
-            matrix[i, 0] = monomials[0]
-            matrix[i, i + 1] = -monomials[i + 1]
-        matrix[n - 1, :] = self.q_weights
+        matrix = np.zeros((self.size, self.size), dtype=complex)
+        matrix[:-1, 0] = monomials[0]
+        matrix[:-1, 1:] = np.diag(-monomials[1:])
+        matrix[-1] = self.q_weights
         return matrix
 
     def adjugate_last_row(self, value):
         """Last row of the transposed inverse: prod_{k != i} (value - points_k)."""
         monomials = complex(value) - self.points
-        n = self.size
-        if n == 1:
-            return np.ones(1, dtype=complex)
-        row = np.empty(n, dtype=complex)
-        for i in range(n):
-            row[i] = np.prod(np.delete(monomials, i))
-        return row
+        others = np.where(np.eye(self.size, dtype=bool), 1.0, monomials)
+        return np.prod(others, axis=1)
 
 
 def build_pseudo_companion(points, name=""):
@@ -156,54 +149,37 @@ def multi_indices(split):
     return i_list, j_list
 
 
-def _flat_index(split, i_multi, j_multi, counts):
-    full = [0] * len(counts)
-    for var, idx in zip(split.left, i_multi):
-        full[var] = idx
-    for var, idx in zip(split.right, j_multi):
-        full[var] = idx
-    flat = 0
-    for var in range(len(counts)):
-        flat = flat * counts[var] + full[var]
-    return flat
-
-
 def arrange_coefficients(model, split):
     """Arrange model weights into the (A_lag, B_lag) coefficient blocks.
 
     Entry ``(q, r)`` of ``A_lag`` is the denominator weight at the full
-    multi-index combining ``I_q`` and ``J_r``; ``B_lag`` likewise from the
-    numerator weights.  With a single variable, ``A_lag`` is the row
-    ``-c^T`` and ``B_lag`` is empty.
+    multi-index combining ``I_q`` and ``J_r`` (see :func:`multi_indices`);
+    ``B_lag`` likewise from the numerator weights.  Both are unfoldings of
+    the weight tensor with the left variables as rows and the right ones
+    as columns.  With a single variable, ``A_lag`` is the row ``-c^T`` and
+    ``B_lag`` is empty.
     """
     counts = model.counts
     if len(split.counts) != len(counts) or split.counts != counts:
         raise GridError("split counts do not match the model")
     if not split.left:
         return -model.weights_c[None, :].copy(), np.zeros((0, split.kappa), dtype=complex)
-    i_list, j_list = multi_indices(split)
-    a_lag = np.empty((split.ell, split.kappa), dtype=complex)
-    b_lag = np.empty((split.ell, split.kappa), dtype=complex)
-    for q, i_multi in enumerate(i_list):
-        for r, j_multi in enumerate(j_list):
-            flat = _flat_index(split, i_multi, j_multi, counts)
-            a_lag[q, r] = model.weights_c[flat]
-            b_lag[q, r] = model.weights_beta[flat]
-    return a_lag, b_lag
+    axes = split.left + split.right
+    return tuple(
+        weights.reshape(counts).transpose(axes).reshape(split.ell, split.kappa).copy()
+        for weights in (model.weights_c, model.weights_beta)
+    )
 
 
 def _kron_eval(companions, values):
-    out = np.ones((1, 1), dtype=complex)
-    for comp, value in zip(companions, values):
-        out = np.kron(out, comp.evaluate(value))
-    return out
+    return _kron_of([comp.evaluate(value) for comp, value in zip(companions, values)])
 
 
-def _kron_rows(rows):
-    out = np.ones(1, dtype=complex)
-    for row in rows:
-        out = np.kron(out, row)
-    return out
+def _guard_dense(size):
+    """Refuse a dense ``size``-by-``size`` complex matrix past the memory guard."""
+    estimate = BYTES_PER_ENTRY * size * size
+    if estimate > DEFAULT_MEMORY_GUARD:
+        raise MemoryGuardError(estimate, DEFAULT_MEMORY_GUARD)
 
 
 @dataclass(frozen=True)
@@ -232,6 +208,7 @@ class GeneralizedRealization:
         values = self._point_map(point)
         split = self.split
         kappa, ell, m = split.kappa, split.ell, split.order
+        _guard_dense(m)
         gamma = _kron_eval([self.companions[i] for i in split.right], [values[i] for i in split.right])
         if not split.left:
             matrix = np.zeros((m, m), dtype=complex)
@@ -268,7 +245,7 @@ def build_realization(model, split=None):
         b_vector = np.zeros(m, dtype=complex)
         b_vector[-1] = -1.0
     else:
-        delta_q_row = _kron_rows([companions[i].q_weights for i in split.left])
+        delta_q_row = _kron_of([companions[i].q_weights for i in split.left])
         b_vector = np.zeros(m, dtype=complex)
         b_vector[kappa - 1 : kappa - 1 + ell] = delta_q_row
         c_vector = np.zeros(m, dtype=complex)
@@ -284,13 +261,17 @@ def build_realization(model, split=None):
     )
 
 
+def _solve_resolvent(phi, rhs, point, label):
+    """``Phi^{-1} rhs``; a singular ``Phi`` means ``point`` is a pole."""
+    try:
+        return np.linalg.solve(phi, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"{label} is singular at {tuple(point)}") from exc
+
+
 def eval_realization(realization, point):
     """Evaluate C Phi(point)^{-1} B by one dense solve."""
-    phi = realization.phi(point)
-    try:
-        solution = np.linalg.solve(phi, realization.b_vector)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"resolvent is singular at {tuple(point)}") from exc
+    solution = _solve_resolvent(realization.phi(point), realization.b_vector, point, "resolvent")
     return complex(realization.c_vector @ solution)
 
 
@@ -323,17 +304,13 @@ class CompressedRealization:
         adj_rows = [
             parent.companions[i].adjugate_last_row(values[i]) for i in split.left
         ]
-        left_row = _kron_rows(adj_rows)
+        left_row = _kron_of(adj_rows)
         out = np.zeros(self.size, dtype=complex)
         out[: split.kappa] = left_row @ parent.b_lag
         return out
 
     def evaluate(self, point):
-        phi = self.phi(point)
-        try:
-            solution = np.linalg.solve(phi, self.b_vector)
-        except np.linalg.LinAlgError as exc:
-            raise PoleError(f"compressed resolvent is singular at {tuple(point)}") from exc
+        solution = _solve_resolvent(self.phi(point), self.b_vector, point, "compressed resolvent")
         return complex(self.c_row(point) @ solution)
 
 
@@ -429,6 +406,7 @@ def polynomial_determinant(coefficients, companions, form, point):
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=complex))
     values = [complex(v) for v in np.atleast_1d(point)]
     if form == "M1":
+        _guard_dense(math.prod(comp.size for comp in companions))
         kron = _kron_eval(companions, values)
         size = kron.shape[0]
         stacked = np.vstack([kron[: size - 1, :], coeffs.reshape(1, -1)])

@@ -194,23 +194,43 @@ def test_cascade_agrees_with_full_svd_on_random_rationals():
 
 
 def test_cascade_reanchors_on_vanishing_anchor_weight():
-    rng = np.random.default_rng(3)
-    model, rows = random_model(rng, [1, 1], complex_weights=False)
-    # make the all-anchors weight (last entry) negligible: normalizing the
-    # anchor chain there would blow up, so the cascade must re-anchor
-    c = model.weights_c.copy()
-    c[-1] = 1e-13
     from mvloewner import make_model
 
-    rigged = make_model(model.support_points, c, model.values_w, model.variable_names)
-    source = densify_model(rigged, rows)
-    assert source is not None
-    result = cascaded_nullspace(source, degrees=[1, 1])
-    assert result.anchors != (1, 1)
-    scale = int(np.argmax(np.abs(c)))
-    np.testing.assert_allclose(
-        result.weights / result.weights[scale], c / c[scale], atol=1e-8
+    # (seed, degrees, anchors finally used)
+    cases = [
+        (3, [1, 1], (0, 0)),
+        (4, [2, 1, 2], (0, 0, 1)),
+        (5, [2, 2, 1], (0, 0, 0)),
+        (6, [1, 2, 2], (0, 1, 1)),
+    ]
+    for seed, degrees, anchors in cases:
+        rng = np.random.default_rng(seed)
+        model, rows = random_model(rng, degrees, complex_weights=False)
+        # make the all-anchors weight (last entry) negligible: normalizing the
+        # anchor chain there would blow up, so the cascade must re-anchor
+        c = model.weights_c.copy()
+        c[-1] = 1e-13
+        rigged = make_model(model.support_points, c, model.values_w, model.variable_names)
+        source = densify_model(rigged, rows)
+        assert source is not None
+        result = cascaded_nullspace(source, degrees=degrees)
+        assert result.anchors == anchors
+        scale = int(np.argmax(np.abs(c)))
+        np.testing.assert_allclose(
+            result.weights / result.weights[scale], c / c[scale], atol=1e-8
+        )
+
+
+def test_cascade_needs_k_minus_one_row_points(source_3d):
+    from mvloewner import GridError, Selection
+
+    # three supports along p but a single row point: rank 2 cannot show
+    selection = Selection(
+        [g.column_points for g in source_3d.grids],
+        [g.row_points for g in source_3d.grids[:2]] + [source_3d.grids[2].row_points[:1]],
     )
+    with pytest.raises(GridError, match="need at least 2 for 3 support points"):
+        cascaded_nullspace(source_3d, selection=selection)
 
 
 def test_cascade_degenerate_when_orders_too_high():

@@ -1,10 +1,17 @@
 """Generalized realizations: companions, splits, assembly, compression."""
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvloewner import (
     GridError,
+    MemoryGuardError,
     PoleError,
     arrange_coefficients,
     build_loewner_nd,
@@ -68,12 +75,46 @@ def test_companion_rejects_duplicates():
         build_pseudo_companion([1, 1], "s")
 
 
+def _nodes_and_value(rng, n, imag):
+    """n jittered nodes spread over [-1, 1] and a nearby value, complex when imag > 0."""
+    points = np.linspace(-1, 1, n) + 0.1 * rng.uniform(-1, 1, n)
+    points = points + 1j * imag * rng.uniform(-1, 1, n)
+    return points, complex(rng.uniform(-1, 1), imag * rng.uniform(-1, 1))
+
+
 def test_companion_row_structure():
     comp = build_pseudo_companion([1, 3, 5], "s")
     s = 2.5
     matrix = comp.evaluate(s)
     np.testing.assert_allclose(matrix[0], [s - 1, -(s - 3), 0])
     np.testing.assert_allclose(matrix[1], [s - 1, 0, -(s - 5)])
+
+    # rows (x_1, -x_{i+1}) then the weights q, for real and complex nodes
+    rng = np.random.default_rng(4)
+    for n in range(1, 7):
+        for imag in (0.0, 0.3):
+            points, value = _nodes_and_value(rng, n, imag)
+            comp = build_pseudo_companion(points, "s")
+            expected = np.zeros((n, n), dtype=complex)
+            for i in range(n - 1):
+                expected[i, 0] = value - points[0]
+                expected[i, i + 1] = -(value - points[i + 1])
+            expected[n - 1] = comp.q_weights
+            np.testing.assert_array_equal(comp.evaluate(value), expected)
+
+
+def test_companion_adjugate_row_is_last_inverse_column():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        for imag in (0.0, 0.3):
+            for _ in range(5):
+                points, value = _nodes_and_value(rng, n, imag)
+                comp = build_pseudo_companion(points, "s")
+                inverse = np.linalg.inv(comp.evaluate(value))
+                np.testing.assert_allclose(
+                    comp.adjugate_last_row(value), inverse[:, -1], rtol=0, atol=1e-12
+                )
+    np.testing.assert_array_equal(build_pseudo_companion([4.2]).adjugate_last_row(9.9), [1.0])
 
 
 def test_unimodularity_of_kronecker_blocks(source_3d):
@@ -139,6 +180,51 @@ def test_arrange_coefficients_2d(source_2d):
     np.testing.assert_allclose(
         b_lag.real, [[1 / 9, -2, 25 / 9], [-1 / 3, 6, -25 / 3]], atol=1e-11
     )
+
+
+def _arrange_by_enumeration(model, split):
+    """Reference: one weight per (I_q, J_r) pair of the Kronecker multi-indices."""
+    if not split.left:
+        return -model.weights_c[None, :], np.zeros((0, split.kappa), dtype=complex)
+    i_list, j_list = multi_indices(split)
+    a_lag = np.empty((split.ell, split.kappa), dtype=complex)
+    b_lag = np.empty((split.ell, split.kappa), dtype=complex)
+    for q, i_multi in enumerate(i_list):
+        for r, j_multi in enumerate(j_list):
+            full = [0] * len(model.counts)
+            for var, idx in zip(split.left + split.right, i_multi + j_multi):
+                full[var] = idx
+            flat = int(np.ravel_multi_index(full, model.counts))
+            a_lag[q, r] = model.weights_c[flat]
+            b_lag[q, r] = model.weights_beta[flat]
+    return a_lag, b_lag
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arrange_coefficients_matches_enumeration(counts, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(counts)
+    model = make_model(
+        [np.arange(k, dtype=float) for k in counts],
+        rng.normal(size=size) + 1j * rng.normal(size=size),
+        rng.normal(size=size) + 1j * rng.normal(size=size),
+    )
+    n = len(counts)
+    splits = [make_split((0,), model.counts)] if n == 1 else [
+        make_split(perm[:cut], model.counts, perm[cut:])
+        for perm in itertools.permutations(range(n))
+        for cut in range(1, n)
+    ]
+    for split in splits:
+        for got, expected in zip(
+            arrange_coefficients(model, split), _arrange_by_enumeration(model, split)
+        ):
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_arrange_coefficients_single_variable(source_1d):
@@ -358,6 +444,51 @@ def test_optimal_split_large_n_heuristic():
     split = optimal_split(degrees)
     assert sorted(split.right + split.left) == list(range(18))
     assert split.order >= 1
+
+
+# --- memory guard ----------------------------------------------------------
+
+
+def test_dense_phi_past_the_guard_is_refused_before_allocating():
+    # split (0,) of counts (4,4,3,3,3,3,3,3): kappa 4, ell 2,916, m 5,835,
+    # a 544,755,600-byte Phi
+    counts = (4, 4, 3, 3, 3, 3, 3, 3)
+    size = math.prod(counts)
+    model = make_model(
+        [np.arange(k, dtype=float) for k in counts], np.ones(size), np.ones(size)
+    )
+    realization = build_realization(model, make_split((0,), counts))
+    assert realization.order == 5835
+    point = tuple(np.full(len(counts), 0.5))
+    calls = (
+        lambda: eval_realization(realization, point),
+        lambda: compress_realization(realization).evaluate(point),
+        lambda: check_r_minimality(realization, [point]),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuardError) as info:
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.estimated_bytes == 544_755_600
+        assert peak < 2**20
+
+
+def test_polynomial_determinant_kronecker_past_the_guard_is_refused():
+    # 13 two-point companions: a 8,192 x 8,192 Kronecker product, 1 GiB
+    companions = [build_pseudo_companion([0.0, 1.0], f"x{i}") for i in range(13)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryGuardError) as info:
+            polynomial_determinant(np.ones(2**13), companions, "M1", np.full(13, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.estimated_bytes == 16 * 2**26
+    assert peak < 2**20
 
 
 # --- polynomial determinants ----------------------------------------------
