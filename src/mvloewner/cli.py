@@ -112,7 +112,6 @@ def _fit_options(args, names=None):
         variable_order="auto" if order is None else _parse_order(order, names or []),
         degrees=_parse_degrees(degrees) if degrees else None,
         order_sample_budget=getattr(args, "budget", 10),
-        rel_tol=getattr(args, "tol_rank", None) or 1e-8,
         seed=getattr(args, "seed", 0),
     )
 
@@ -227,12 +226,7 @@ def cmd_verify(args):
     checks["interpolation"] = {"max_relative_error": interp_err, "ok": bool(interp_err <= 1e-9)}
 
     try:
-        rows = []
-        for grid, support in zip(source.grids, model.support_points):
-            pool = grid.union_points
-            keep = np.asarray([p for p in pool if not np.any(p == support)], dtype=complex)
-            rows.append(keep)
-        selection = Selection(list(model.support_points), rows)
+        selection = Selection.from_supports(source, model.support_points)
         lm = build_loewner_nd(source, selection)
         ops = build_sylvester_operands(source, selection)
         residual = float(sylvester_residual(lm, ops))

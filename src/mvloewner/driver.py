@@ -15,24 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .cascade import (
-    cascaded_nullspace,
-    flop_cascade,
-    flop_full,
-    make_flop_report,
-    optimal_variable_order,
-)
+from .cascade import cascaded_nullspace, make_flop_report, optimal_variable_order
 from .errors import DegenerateNullspaceError, GridError, NotConvergedError
 from .grids import Selection, check_disjoint
-from .loewner import (
-    DEFAULT_MEMORY_GUARD,
-    DEFAULT_RANK_TOL,
-    build_loewner_nd,
-    detect_orders,
-    nullspace_vector,
-)
+from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error
 from .realize import build_realization, make_split, optimal_split
 
@@ -48,7 +34,6 @@ class FitOptions:
     order_sample_budget: int = 10
     seed: int = 0
     split: object = "first"  # "first" | "auto" | explicit right-index sequence
-    memory_guard: int = DEFAULT_MEMORY_GUARD
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -135,7 +120,7 @@ def _weights_for_selection(source, selection, opts, order):
             source, selection=selection, order=order, rel_tol=opts.rel_tol
         )
         return result.weights, result.report
-    lm = build_loewner_nd(source, selection, memory_guard=opts.memory_guard)
+    lm = build_loewner_nd(source, selection)
     result = nullspace_vector(lm, opts.rel_tol)
     if result.rank < math.prod(counts) - 1:
         raise DegenerateNullspaceError(
@@ -183,21 +168,6 @@ def fit_direct(source, opts=None):
     return FitResult(model, realization, report, degrees_final, weights)
 
 
-def _selection_from_pools(grids, chosen):
-    cols, rows = [], []
-    for grid, picked in zip(grids, chosen):
-        pool = grid.union_points
-        mask = np.ones(pool.size, dtype=bool)
-        col_list = []
-        for value in picked:
-            idx = int(np.nonzero(pool == value)[0][0])
-            mask[idx] = False
-            col_list.append(pool[idx])
-        cols.append(np.asarray(col_list, dtype=complex))
-        rows.append(pool[mask])
-    return Selection(cols, rows)
-
-
 def fit_adaptive(source, tol, opts=None):
     """Greedy support enrichment until the grid sweep error meets ``tol``.
 
@@ -217,11 +187,11 @@ def fit_adaptive(source, tol, opts=None):
     best = None
 
     while True:
-        selection = _selection_from_pools(grids, chosen).nearest_rows()
+        selection = Selection.from_supports(source, chosen).nearest_rows()
         counts = selection.counts
         order = _resolve_order(opts, counts)
         try:
-            weights, _ = _weights_for_selection(source, selection, opts, order)
+            weights, report = _weights_for_selection(source, selection, opts, order)
         except DegenerateNullspaceError as exc:
             raise NotConvergedError(
                 f"weight computation became degenerate at supports {counts}: {exc}",
@@ -231,10 +201,8 @@ def fit_adaptive(source, tol, opts=None):
         values = source.values_on_product(selection.col_points).reshape(-1)
         model = make_model(selection.col_points, weights, values, names=source.names)
         error, argmax = max_error(model, source)
-        if opts.nullspace_method == "cascaded":
-            flops = flop_cascade([counts[i] for i in order])
-        else:
-            flops = flop_full(counts)
+        cascaded = opts.nullspace_method == "cascaded"
+        flops = report.cascaded_flops if cascaded else report.full_flops
         log.iterations.append(
             AdaptiveIteration(dict(added), counts, flops, error, argmax)
         )

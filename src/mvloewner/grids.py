@@ -62,12 +62,22 @@ class VariableGrid:
                 dups.append(key)
         return dups
 
-    def index_of(self, value):
-        """Union-grid index of ``value``; exact match required."""
-        matches = np.nonzero(self.union_points == value)[0]
-        if matches.size == 0:
-            raise OffGridError(f"{value} is not a grid point of variable {self.name!r}")
-        return int(matches[0])
+    def indices_of(self, values):
+        """Union-grid index of each of ``values`` (first match; exact equality).
+
+        One stable sort of the union grid and one binary search per value,
+        so memory stays O(len(values) + len(union grid)).  Raises
+        :class:`OffGridError` naming the first value not on the grid.
+        """
+        values = np.atleast_1d(np.asarray(values, dtype=complex))
+        pool = self.union_points
+        order = np.argsort(pool, kind="stable")
+        pos = np.minimum(np.searchsorted(pool[order], values), pool.size - 1)
+        found = pool[order[pos]] == values
+        if not np.all(found):
+            missing = values[~found][0]
+            raise OffGridError(f"{missing} is not a grid point of variable {self.name!r}")
+        return order[pos]
 
 
 @dataclass(frozen=True)
@@ -123,34 +133,6 @@ class DataSource:
         """
         raise NotImplementedError
 
-    def fiber(self, free_variable, frozen):
-        """Values along the union grid of one variable, all others frozen.
-
-        Parameters
-        ----------
-        free_variable : int
-            Index of the variable that sweeps its union grid
-            (columns first, then rows).
-        frozen : mapping from variable index to grid point
-            Must cover every variable except ``free_variable``.
-
-        Returns
-        -------
-        ndarray
-            One value per union point of the free variable.
-        """
-        per_var = []
-        for l, grid in enumerate(self.grids):
-            if l == free_variable:
-                per_var.append(grid.union_points)
-            else:
-                if l not in frozen:
-                    raise GridError(f"fiber: variable {grid.name!r} is neither free nor frozen")
-                grid.index_of(frozen[l])  # validates the frozen point is on the grid
-                per_var.append(np.asarray([frozen[l]], dtype=complex))
-        tensor = self.values_on_product(per_var)
-        return tensor.reshape(-1)
-
 
 class DenseSource(DataSource):
     """Data source backed by a fully materialized tableau."""
@@ -162,17 +144,14 @@ class DenseSource(DataSource):
     def value_at(self, point):
         if len(point) != self.n_vars:
             raise GridError(f"expected {self.n_vars} coordinates, got {len(point)}")
-        idx = tuple(g.index_of(v) for g, v in zip(self.grids, point))
+        idx = tuple(g.indices_of(v)[0] for g, v in zip(self.grids, point))
         return complex(self.tableau.values[idx])
 
     def values_at_indices(self, indices):
         return self.tableau.values[tuple(np.asarray(indices).T)]
 
     def values_on_product(self, per_var_points):
-        index_lists = []
-        for grid, points in zip(self.grids, per_var_points):
-            index_lists.append([grid.index_of(v) for v in np.atleast_1d(points)])
-        mesh = np.ix_(*index_lists)
+        mesh = np.ix_(*(g.indices_of(p) for g, p in zip(self.grids, per_var_points)))
         return self.tableau.values[mesh]
 
 
@@ -192,7 +171,7 @@ class OracleSource(DataSource):
         if len(point) != self.n_vars:
             raise GridError(f"expected {self.n_vars} coordinates, got {len(point)}")
         for grid, value in zip(self.grids, point):
-            grid.index_of(value)
+            grid.indices_of(value)
         assignment = {g.name: complex(v) for g, v in zip(self.grids, point)}
         value = expressions.evaluate(self.expression, assignment)
         if not np.isfinite(value):
@@ -294,6 +273,12 @@ class Selection:
                 )
             rows.append(pool)
         return Selection(self.col_points, rows)
+
+    @classmethod
+    def from_supports(cls, source, supports):
+        """The given grid points as columns, every other union point as rows."""
+        rows = [np.delete(g.union_points, g.indices_of(s)) for g, s in zip(source.grids, supports)]
+        return cls(supports, rows)
 
     @classmethod
     def full(cls, source):

@@ -68,15 +68,20 @@ def _check_disjoint_1d(col_pts, row_pts):
 
 
 def build_loewner_1d(col_pts, row_pts, col_vals, row_vals):
-    """Single-variable Loewner matrix with entries (v_i - w_j)/(mu_i - lambda_j)."""
+    """Single-variable Loewner matrix with entries (v_i - w_j)/(mu_i - lambda_j).
+
+    Value arrays with leading axes give a stack of matrices over the same
+    points: ``col_vals`` of shape ``(..., k)`` and ``row_vals`` of shape
+    ``(..., q)`` give entries of shape ``(..., q, k)``.
+    """
     col_pts = np.asarray(col_pts, dtype=complex)
     row_pts = np.asarray(row_pts, dtype=complex)
     w = np.asarray(col_vals, dtype=complex)
     v = np.asarray(row_vals, dtype=complex)
-    if col_pts.size != w.size or row_pts.size != v.size:
+    if col_pts.size != w.shape[-1] or row_pts.size != v.shape[-1]:
         raise GridError("point and value lists must have matching lengths")
     diffs = _check_disjoint_1d(col_pts, row_pts)
-    entries = (v[:, None] - w[None, :]) / diffs
+    entries = (v[..., :, None] - w[..., None, :]) / diffs
     return LoewnerMatrix(entries, (col_pts,), (row_pts,))
 
 
@@ -163,6 +168,17 @@ def sylvester_residual(lm, ops):
     return float(num / denom)
 
 
+def numerical_rank(sigma, rel_tol=DEFAULT_RANK_TOL):
+    """Count of singular values above ``rel_tol`` times the largest.
+
+    ``sigma`` holds singular values in descending order along its last
+    axis, one row per matrix of a stack; an all-zero or empty matrix has
+    rank 0.
+    """
+    sigma = np.asarray(sigma)
+    return (sigma > rel_tol * sigma[..., :1]).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class NullspaceResult:
     """Smallest right singular vector with rank and gap diagnostics.
@@ -204,7 +220,7 @@ def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
         raise GridError("empty matrix has no null-space direction")
     _, sigma, vh = np.linalg.svd(matrix)
     smax = sigma[0] if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > rel_tol * smax)) if smax > 0 else 0
+    rank = int(numerical_rank(sigma, rel_tol))
     vector = np.conj(vh[-1])
     sigma_min = float(sigma[-1]) if sigma.size else 0.0
     sigma_next = float(sigma[-2]) if sigma.size > 1 else math.inf
@@ -249,38 +265,36 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
     For each variable the single-variable Loewner matrix is built for the
     all-first-column frozen combination plus up to ``sample_budget``
     random frozen combinations of the other variables (drawn from their
-    union grids, seeded); the degree is the maximum numerical rank seen.
+    union grids, seeded, duplicates by value dropped); the degree is the
+    maximum numerical rank seen.  All fibers of a variable are sampled in
+    one call and ranked by one stacked SVD per variable.
     """
     rng = np.random.default_rng(seed)
     n = source.n_vars
     degrees = []
     saturated = []
-    for l in range(n):
-        grid = source.grids[l]
-        cols = grid.column_points
-        rows = grid.row_points
-        if cols.size + rows.size < 2:
+    for l, grid in enumerate(source.grids):
+        k, q = grid.column_points.size, grid.row_points.size
+        if k + q < 2:
             raise GridError(f"variable {grid.name!r} needs at least two points to reveal a rank")
-        if rows.size == 0:
+        if q == 0:
             degrees.append(0)
             saturated.append(True)
             continue
-        combos = [{i: source.grids[i].column_points[0] for i in range(n) if i != l}]
-        for _ in range(sample_budget):
-            combo = {}
-            for i in range(n):
-                if i == l:
-                    continue
-                pool = source.grids[i].union_points
-                combo[i] = complex(pool[rng.integers(pool.size)])
-            if combo not in combos:
-                combos.append(combo)
-        best = 0
-        for combo in combos:
-            values = source.fiber(l, combo)
-            lm = build_loewner_1d(cols, rows, values[: cols.size], values[cols.size :])
-            result = nullspace_vector(lm, rel_tol)
-            best = max(best, result.rank)
+        others = [g for i, g in enumerate(source.grids) if i != l]
+        # row-major fill: the same stream as one scalar draw per combination and variable
+        drawn = rng.integers(0, [g.union_points.size for g in others], size=(sample_budget, n - 1))
+        combos = np.vstack([np.zeros((1, n - 1), dtype=int), drawn])
+        for i, g in enumerate(others):
+            # the first union index holding each drawn value, so equal values dedupe
+            combos[:, i] = g.indices_of(g.union_points[combos[:, i]])
+        combos = np.unique(combos, axis=0)
+        free = grid.indices_of(grid.union_points)
+        # one index row per fiber point: the combination with ``free`` spliced in at l
+        fibers = np.insert(np.repeat(combos, free.size, axis=0), l, np.tile(free, len(combos)), 1)
+        values = source.values_at_indices(fibers).reshape(-1, free.size)
+        lm = build_loewner_1d(grid.column_points, grid.row_points, values[:, :k], values[:, k:])
+        best = int(np.max(numerical_rank(np.linalg.svd(lm.entries, compute_uv=False), rel_tol)))
         degrees.append(best)
-        saturated.append(best >= min(cols.size, rows.size))
+        saturated.append(best >= min(k, q))
     return OrderEstimate(tuple(degrees), tuple(saturated))

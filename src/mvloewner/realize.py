@@ -30,7 +30,13 @@ import numpy as np
 
 from .errors import GridError, MemoryGuardError, PoleError
 from .grids import _complex_to_pairs, _pairs_to_complex
-from .loewner import BYTES_PER_ENTRY, DEFAULT_MEMORY_GUARD, DEFAULT_RANK_TOL, _kron_of
+from .loewner import (
+    BYTES_PER_ENTRY,
+    DEFAULT_MEMORY_GUARD,
+    DEFAULT_RANK_TOL,
+    _kron_of,
+    numerical_rank,
+)
 
 LOG_PRODUCT_CUTOFF = 300
 
@@ -332,8 +338,8 @@ def check_r_minimality(realization, sample_points, rel_tol=DEFAULT_RANK_TOL):
         phi = realization.phi(point)
         controllable = np.hstack([phi, realization.b_vector[:, None]])
         observable = np.vstack([realization.c_vector[None, :], phi])
-        rank_ctrl = _numerical_rank(controllable, rel_tol)
-        rank_obs = _numerical_rank(observable, rel_tol)
+        rank_ctrl = int(numerical_rank(np.linalg.svd(controllable, compute_uv=False), rel_tol))
+        rank_obs = int(numerical_rank(np.linalg.svd(observable, compute_uv=False), rel_tol))
         reports.append(
             {
                 "point": tuple(complex(v) for v in point),
@@ -343,13 +349,6 @@ def check_r_minimality(realization, sample_points, rel_tol=DEFAULT_RANK_TOL):
             }
         )
     return reports
-
-
-def _numerical_rank(matrix, rel_tol):
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0:
-        return 0
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
 def optimal_split(degrees):

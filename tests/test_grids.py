@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvloewner import (
     DenseSource,
@@ -39,7 +42,7 @@ def test_single_column_point_is_fine():
 
 def test_fiber_reads_a_tableau_column(source_2d):
     dense = source_2d.densify()
-    values = dense.fiber(0, {1: -3})
+    values = dense.values_on_product([dense.grids[0].union_points, [-3]]).reshape(-1)
     np.testing.assert_allclose(
         values, [-3 / 5, -27 / 7, -25 / 3, 0, -2, -6], atol=1e-14
     )
@@ -47,19 +50,64 @@ def test_fiber_reads_a_tableau_column(source_2d):
 
 def test_fiber_on_single_variable_is_identity(source_1d):
     dense = source_1d.densify()
-    np.testing.assert_array_equal(dense.fiber(0, {}), dense.tableau.values)
+    values = dense.values_on_product([dense.grids[0].union_points])
+    np.testing.assert_array_equal(values, dense.tableau.values)
 
 
 def test_oracle_fiber_evaluates_expression():
     expr = parse("(s^2*t)/(s-t+1)", ["s", "t"])
     grids = [VariableGrid("s", [1], []), VariableGrid("t", [-1, -3], [])]
     source = OracleSource(expr, grids)
-    np.testing.assert_allclose(source.fiber(1, {0: 1}), [-1 / 3, -3 / 5], atol=1e-15)
+    values = source.values_on_product([[1], grids[1].union_points]).reshape(-1)
+    np.testing.assert_allclose(values, [-1 / 3, -3 / 5], atol=1e-15)
 
 
 def test_fiber_requires_on_grid_frozen_point(source_2d):
+    dense = source_2d.densify()
     with pytest.raises(OffGridError):
-        source_2d.densify().fiber(0, {1: -7})
+        dense.values_on_product([dense.grids[0].union_points, [-7]])
+
+
+# a few values, signed zeros among them, so draws repeat and collide
+GRID_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1j, -1j, complex(-0.0, -0.0), 1 + 1j, 2.0]
+)
+
+
+def first_match_loop(pool, values):
+    """The per-value lookup ``indices_of`` replaces; None marks a missing value."""
+    out = []
+    for value in values:
+        matches = np.nonzero(pool == value)[0]
+        out.append(int(matches[0]) if matches.size else None)
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # past 16 points numpy's default sort is no longer stable
+    st.lists(GRID_VALUES, min_size=1, max_size=40),
+    st.lists(GRID_VALUES, max_size=20),
+    st.lists(GRID_VALUES | st.sampled_from([3.0, -2j]), max_size=10),
+)
+def test_indices_of_matches_first_match_loop(cols, rows, values):
+    grid = VariableGrid("x", cols, rows)
+    queries = np.asarray(values, dtype=complex)
+    expected = first_match_loop(grid.union_points, queries)
+    if None in expected:
+        missing = queries[expected.index(None)]
+        with pytest.raises(OffGridError, match=f"^{re.escape(str(missing))} is not a grid point"):
+            grid.indices_of(queries)
+    else:
+        np.testing.assert_array_equal(grid.indices_of(queries), np.asarray(expected, dtype=int))
+
+
+def test_indices_of_on_a_large_grid():
+    # a comparison matrix of this size would need 10**10 entries
+    points = np.random.default_rng(0).permutation(100_000) / 7.0
+    grid = VariableGrid("x", points[:50_000], points[50_000:])
+    order = np.random.default_rng(1).permutation(100_000)
+    np.testing.assert_array_equal(grid.indices_of(grid.union_points[order]), order)
 
 
 def test_value_at_worked_entries(source_2d, source_3d):
@@ -86,7 +134,8 @@ def test_fiber_matches_value_at_exhaustively():
         pools = [g.union_points for l, g in enumerate(grids) if l != free]
         for combo in itertools.product(*pools):
             frozen = dict(zip([l for l in range(4) if l != free], combo))
-            fiber = dense.fiber(free, frozen)
+            per_var = [[frozen[l]] if l != free else g.union_points for l, g in enumerate(grids)]
+            fiber = dense.values_on_product(per_var).reshape(-1)
             for i, value in enumerate(grids[free].union_points):
                 point = [0] * 4
                 for l, v in frozen.items():

@@ -4,18 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvloewner import (
+    DenseSource,
     GridError,
     MemoryGuardError,
+    OracleSource,
     Selection,
+    Tableau,
+    VariableGrid,
     build_loewner_1d,
     build_loewner_nd,
     build_sylvester_operands,
     detect_orders,
     nullspace_vector,
+    parse,
     sylvester_residual,
 )
+from mvloewner.loewner import DEFAULT_RANK_TOL, numerical_rank
 from conftest import C1_EXPECTED, C2_EXPECTED
 
 from synthetic import densify_model, random_model
@@ -81,9 +89,8 @@ def test_build_nd_single_variable_matches_1d_bitwise(source_1d):
     nd = build_loewner_nd(source_1d)
     cols = source_1d.grids[0].column_points
     rows = source_1d.grids[0].row_points
-    direct = build_loewner_1d(
-        cols, rows, source_1d.fiber(0, {})[:3], source_1d.fiber(0, {})[3:]
-    )
+    values = source_1d.values_on_product([source_1d.grids[0].union_points])
+    direct = build_loewner_1d(cols, rows, values[:3], values[3:])
     np.testing.assert_array_equal(nd.entries, direct.entries)
 
 
@@ -231,3 +238,109 @@ def test_detect_orders_rank_equals_k_minus_one_for_matched_models(
         result = nullspace_vector(lm)
         k_total = int(np.prod([g.column_points.size for g in source.grids]))
         assert result.rank == k_total - 1
+
+
+def detect_orders_loop(source, sample_budget, rel_tol, seed):
+    """The per-combination probe that ``detect_orders`` batches.
+
+    Same seeded draws and value dedupe; one fiber, one Loewner build and
+    one full SVD per frozen combination.
+    """
+    rng = np.random.default_rng(seed)
+    n = source.n_vars
+    degrees, saturated = [], []
+    for l, grid in enumerate(source.grids):
+        cols, rows = grid.column_points, grid.row_points
+        if cols.size + rows.size < 2:
+            raise GridError("too few points")
+        if rows.size == 0:
+            degrees.append(0)
+            saturated.append(True)
+            continue
+        combos = [{i: source.grids[i].column_points[0] for i in range(n) if i != l}]
+        for _ in range(sample_budget):
+            combo = {}
+            for i in range(n):
+                if i != l:
+                    pool = source.grids[i].union_points
+                    combo[i] = complex(pool[rng.integers(pool.size)])
+            if combo not in combos:
+                combos.append(combo)
+        best = 0
+        for combo in combos:
+            per_var = [grid.union_points if i == l else [combo[i]] for i in range(n)]
+            values = source.values_on_product(per_var).reshape(-1)
+            lm = build_loewner_1d(cols, rows, values[: cols.size], values[cols.size :])
+            best = max(best, nullspace_vector(lm, rel_tol).rank)
+        degrees.append(best)
+        saturated.append(best >= min(cols.size, rows.size))
+    return tuple(degrees), tuple(saturated)
+
+
+@st.composite
+def order_sources(draw):
+    """Oracle, densified, noise and duplicated-point sources of 1-4 variables."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["oracle", "dense", "noise", "duplicate"]))
+    names = [f"x{l}" for l in range(draw(st.integers(1, 4)))]
+    grids = []
+    for name in names:
+        k = draw(st.integers(1, 4))
+        q = draw(st.integers(1 if k == 1 else 0, 4))
+        points = rng.permutation(np.linspace(0.1, 1.0, 9))[: k + q]
+        cols = points[:k]
+        if kind == "duplicate":
+            cols[-1] = cols[0]
+        grids.append(VariableGrid(name, cols, points[k:]))
+    shape = tuple(g.union_points.size for g in grids)
+    if kind == "noise":
+        return DenseSource(Tableau(grids, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    num = "*".join(f"({v}^{draw(st.integers(0, 3))}+{rng.uniform(0.5, 1.5):.3f})" for v in names)
+    den = "+".join(f"{rng.uniform(0.5, 1.5):.3f}*{v}^{draw(st.integers(0, 3))}" for v in names)
+    oracle = OracleSource(parse(f"{num}/({den}+2)", names), grids)
+    if kind == "oracle":
+        return oracle
+    values = oracle.densify().tableau.values
+    if kind == "duplicate":
+        # noise behind each repeated point: only a lookup past the first match reads it
+        for l, g in enumerate(grids):
+            if g.column_points.size > 1:
+                index = [slice(None)] * len(grids)
+                index[l] = g.column_points.size - 1
+                values[tuple(index)] = rng.normal(size=values[tuple(index)].shape)
+    return DenseSource(Tableau(grids, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_sources(), st.integers(0, 12), st.integers(0, 2**16))
+def test_detect_orders_matches_per_combination_loop(source, budget, seed):
+    estimate = detect_orders(source, budget, seed=seed)
+    assert (estimate.degrees, estimate.saturated) == detect_orders_loop(
+        source, budget, DEFAULT_RANK_TOL, seed
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 3), max_size=2),
+)
+def test_stacked_build_1d_matches_per_slice_builds(seed, k, q, lead):
+    rng = np.random.default_rng(seed)
+    points = rng.permutation(np.linspace(-1, 1, k + q)) * np.exp(1j * rng.uniform(0, 1))
+    w = rng.normal(size=(*lead, k)) + 1j * rng.normal(size=(*lead, k))
+    v = rng.normal(size=(*lead, q)) + 1j * rng.normal(size=(*lead, q))
+    stacked = build_loewner_1d(points[:k], points[k:], w, v)
+    assert stacked.shape == (*lead, q, k)
+    for index in np.ndindex(*lead):
+        single = build_loewner_1d(points[:k], points[k:], w[index], v[index])
+        np.testing.assert_array_equal(stacked.entries[index], single.entries)
+
+
+def test_numerical_rank_per_matrix_of_a_stack():
+    sigma = np.array([[3.0, 1e-7, 1e-9], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(numerical_rank(sigma, 1e-8), [2, 3, 0])
+    assert numerical_rank(sigma[0], 1e-8) == 2
+    assert numerical_rank(np.zeros(0)) == 0
