@@ -251,7 +251,7 @@ def cmd_verify(args):
     scale = 1.0 + float(
         np.max(np.abs(source.tableau.values))
         if hasattr(source, "tableau")
-        else np.abs(source.value_at(location))
+        else np.abs(source.values_on_product([[v] for v in location])).item()
     )
     checks["sweep"] = {
         "max_error": float(error),

@@ -304,12 +304,8 @@ class Selection:
                 raise GridError(
                     f"variable {grid.name!r} has {lam.size} column points, cannot select {k}"
                 )
-            idx = np.unique(np.round(np.linspace(0, lam.size - 1, k)).astype(int))
-            for spare in range(lam.size):  # top up after rounding collisions
-                if idx.size == k:
-                    break
-                if spare not in idx:
-                    idx = np.sort(np.append(idx, spare))
+            # a stride of at least 1 keeps the rounded indices distinct
+            idx = np.round(np.linspace(0, lam.size - 1, k)).astype(int)
             mask = np.ones(lam.size, dtype=bool)
             mask[idx] = False
             cols.append(lam[idx])

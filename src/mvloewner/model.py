@@ -33,9 +33,16 @@ SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its
 class BarycentricModel:
     variable_names: tuple
     support_points: tuple
-    weights_c: np.ndarray
+    weights: np.ndarray  # (2, K): denominator weights c, numerator weights beta = c * w
     values_w: np.ndarray
-    weights_beta: np.ndarray
+
+    @property
+    def weights_c(self):
+        return self.weights[0]
+
+    @property
+    def weights_beta(self):
+        return self.weights[1]
 
     @property
     def n_vars(self):
@@ -74,14 +81,45 @@ def make_model(support, c, w, names=None):
         names = tuple(str(n) for n in names)
         if len(names) != len(support):
             raise GridError("one name per variable required")
-    return BarycentricModel(names, support, c, w, c * w)
+    return BarycentricModel(names, support, np.stack([c, c * w]), w)
 
 
-def _contract(weights_flat, factors, counts):
-    tensor = weights_flat.reshape(counts)
-    for factor in reversed(factors):
-        tensor = tensor @ factor
-    return complex(tensor)
+def _factor_matrix(support, coordinates):
+    """``(P, k)`` Cauchy factors ``1/(x - lambda)`` of one variable.
+
+    A row whose coordinate equals a support point exactly is instead the
+    indicator of its first match, the interpolation limit.
+    """
+    diffs = np.asarray(coordinates, dtype=complex).reshape(-1, 1) - support
+    if np.count_nonzero(diffs) == diffs.size:
+        return 1.0 / diffs
+    hits = diffs == 0
+    factors = 1.0 / np.where(hits, 1.0, diffs)
+    rows = np.nonzero(hits.any(axis=1))[0]
+    factors[rows] = 0.0
+    factors[rows, np.argmax(hits[rows], axis=1)] = 1.0
+    return factors
+
+
+def _quotient(denominator, numerator):
+    poles = np.abs(denominator) < POLE_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numerator / denominator, poles
+
+
+def _contract_points(model, points):
+    """Denominator and numerator sums at ``(P, n)`` points, as ``(P, 2)``.
+
+    Each point contracts the weight tensor with its own factor rows, last
+    variable first.
+    """
+    factors = [_factor_matrix(s, points[:, l]) for l, s in enumerate(model.support_points)]
+    counts = model.counts
+    # layout (P, 2 * K_{<l}, k_l): one weight matrix per point
+    tensor = factors[-1] @ model.weights.reshape(-1, counts[-1]).T
+    for factor, k in zip(reversed(factors[:-1]), reversed(counts[:-1])):
+        tensor = np.matmul(tensor.reshape(points.shape[0], -1, k), factor[:, :, None])
+    return tensor.reshape(points.shape[0], 2)
 
 
 def eval_model(model, point):
@@ -94,47 +132,11 @@ def eval_model(model, point):
     """
     if len(point) != model.n_vars:
         raise GridError(f"expected {model.n_vars} coordinates, got {len(point)}")
-    factors = []
-    for l, support in enumerate(model.support_points):
-        diffs = complex(point[l]) - support
-        hits = np.nonzero(diffs == 0)[0]
-        if hits.size:
-            # on-support coordinate: restrict sums to the matching index
-            indicator = np.zeros(support.size, dtype=complex)
-            indicator[hits[0]] = 1.0
-            factors.append(indicator)
-        else:
-            factors.append(1.0 / diffs)
-    counts = model.counts
-    denominator = _contract(model.weights_c, factors, counts)
+    row = np.asarray(point, dtype=complex).reshape(1, -1)
+    denominator, numerator = _contract_points(model, row)[0].tolist()
     if abs(denominator) < POLE_THRESHOLD:
         raise PoleError(f"barycentric denominator vanishes at {tuple(point)}")
-    numerator = _contract(model.weights_beta, factors, counts)
     return numerator / denominator
-
-
-def _factor_matrix(support, coordinates):
-    """``(P, k)`` Cauchy factors ``1/(x - lambda)`` of one variable.
-
-    A row whose coordinate equals a support point exactly is instead the
-    indicator of its first match, the interpolation limit of
-    :func:`eval_model`.
-    """
-    diffs = np.asarray(coordinates, dtype=complex).reshape(-1, 1) - support
-    hits = diffs == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = 1.0 / diffs
-    rows = np.nonzero(hits.any(axis=1))[0]
-    if rows.size:
-        factors[rows] = 0.0
-        factors[rows, np.argmax(hits[rows], axis=1)] = 1.0
-    return factors
-
-
-def _quotient(denominator, numerator):
-    poles = np.abs(denominator) < POLE_THRESHOLD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return numerator / denominator, poles
 
 
 def _eval_on_grid(model, per_var_points):
@@ -144,12 +146,12 @@ def _eval_on_grid(model, per_var_points):
     per_var_points)`` with variable 0 slowest; ``poles`` marks where the
     denominator vanishes (the value there is meaningless).  The weight
     tensor is contracted with one factor matrix per variable (a mode
-    product), last variable first as :func:`_contract` does; values agree
-    with :func:`eval_model` up to rounding.
+    product), last variable first; values agree with :func:`eval_model`
+    up to rounding.
     """
     factors = [_factor_matrix(s, p) for s, p in zip(model.support_points, per_var_points)]
     # layout (2, P_l..P_{n-1}, K_{<l}) with rows 0/1 = denominator/numerator
-    tensor = np.stack([model.weights_c, model.weights_beta])
+    tensor = model.weights
     swept, remaining = 1, tensor.shape[1]
     for factor, k in zip(reversed(factors), reversed(model.counts)):
         remaining //= k
@@ -169,23 +171,12 @@ def _eval_at_points(model, points):
     than about ``SWEEP_CHUNK_BYTES``.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, model.n_vars)
-    counts = model.counts
-    weights = np.stack([model.weights_c, model.weights_beta]).reshape(-1, counts[-1])
-    chunk = max(1, SWEEP_CHUNK_BYTES // (weights.itemsize * weights.shape[0]))
-    values = np.empty(points.shape[0], dtype=complex)
-    poles = np.empty(points.shape[0], dtype=bool)
+    # each point's intermediate holds 2 * K / k_last complex sums
+    chunk = max(1, SWEEP_CHUNK_BYTES // (model.weights.nbytes // model.counts[-1]))
+    sums = np.empty((points.shape[0], 2), dtype=complex)
     for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        factors = [_factor_matrix(s, block[:, l]) for l, s in enumerate(model.support_points)]
-        # layout (B, 2 * K_{<l}, k_l): one weight matrix per point
-        tensor = factors[-1] @ weights.T
-        for factor, k in zip(reversed(factors[:-1]), reversed(counts[:-1])):
-            tensor = np.matmul(tensor.reshape(block.shape[0], -1, k), factor[:, :, None])
-        tensor = tensor.reshape(block.shape[0], 2)
-        values[start : start + chunk], poles[start : start + chunk] = _quotient(
-            tensor[:, 0], tensor[:, 1]
-        )
-    return values, poles
+        sums[start : start + chunk] = _contract_points(model, points[start : start + chunk])
+    return _quotient(sums[:, 0], sums[:, 1])
 
 
 def _first_worst(mismatch, poles):

@@ -169,12 +169,11 @@ def arrange_coefficients(model, split):
     if len(split.counts) != len(counts) or split.counts != counts:
         raise GridError("split counts do not match the model")
     if not split.left:
-        return -model.weights_c[None, :].copy(), np.zeros((0, split.kappa), dtype=complex)
-    axes = split.left + split.right
-    return tuple(
-        weights.reshape(counts).transpose(axes).reshape(split.ell, split.kappa).copy()
-        for weights in (model.weights_c, model.weights_beta)
-    )
+        return -model.weights[:1], np.zeros((0, split.kappa), dtype=complex)
+    axes = [0, *(a + 1 for a in split.left + split.right)]
+    unfolded = model.weights.reshape(2, *counts).transpose(axes)
+    a_lag, b_lag = unfolded.reshape(2, split.ell, split.kappa).copy()
+    return a_lag, b_lag
 
 
 def _kron_eval(companions, values):

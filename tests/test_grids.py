@@ -198,3 +198,17 @@ def test_spread_columns_keeps_endpoints(source_synth2d):
     np.testing.assert_allclose(selection.col_points[1].real, [0, 0.3, 0.7, 1])
     # leftovers become rows
     assert selection.row_points[0].size == 21 - 5
+    # every count of every list up to 60 points: distinct, increasing, endpoints kept
+    for n in range(1, 61):
+        grid = VariableGrid("s", np.arange(n, dtype=float), np.arange(n) + 0.5)
+        source = OracleSource(parse("s", ["s"]), [grid])
+        for k in range(1, n + 1):
+            selection = Selection.spread_columns(source, [k])
+            cols = selection.col_points[0].real
+            assert cols.size == k
+            assert np.all(np.diff(cols) > 0)
+            assert cols[0] == 0 and (k == 1 or cols[-1] == n - 1)
+            rest = np.setdiff1d(np.arange(n), cols)
+            np.testing.assert_array_equal(
+                selection.row_points[0].real, np.concatenate([rest, grid.row_points.real])
+            )

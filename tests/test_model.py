@@ -170,7 +170,14 @@ def test_interpolation_at_all_support_tuples(source_3d):
 def test_model_json_round_trip_is_bit_exact(source_3d):
     model = _model_from_source(source_3d)
     clone = model_from_dict(model_to_dict(model))
+    np.testing.assert_array_equal(clone.weights, model.weights)
     np.testing.assert_array_equal(clone.weights_c, model.weights_c)
+    # both weight vectors are rows of the one stored (2, K) array
+    for m in (model, clone):
+        assert m.weights.shape == (2, m.values_w.size)
+        for row, weights in enumerate((m.weights_c, m.weights_beta)):
+            assert np.shares_memory(weights, m.weights)
+            np.testing.assert_array_equal(weights, m.weights[row])
     np.testing.assert_array_equal(clone.values_w, model.values_w)
     for a, b in zip(clone.support_points, model.support_points):
         np.testing.assert_array_equal(a, b)

@@ -1,18 +1,22 @@
-"""Batched model sweeps against the per-tuple loops they replace.
+"""Batched model sweeps against independent per-point references.
 
-``max_error``, the sampled ``verify`` sweep and ``plot-data`` evaluate the
-model through factor-matrix contractions.  The loops below are the
-per-tuple reference: one scalar ``eval_model`` and one ``value_at`` per
-tuple.  Sums run in a different order, so values agree up to a tolerance
-fixed from double precision, and maximizers must be the same tuple.
+``eval_model``, ``max_error``, the sampled ``verify`` sweep and
+``plot-data`` all evaluate the model through one factor-matrix
+contraction kernel.  The loops below are the per-tuple reference: the
+scalar per-variable contraction (``reference_eval``) and one ``value_at``
+per tuple.  Sums run in a different order, so values agree up to a
+tolerance fixed from double precision, and maximizers must be the same
+tuple.
 """
 
 import itertools
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +35,7 @@ from mvloewner import (
 )
 from mvloewner import model as model_module
 from mvloewner.cli import main
-from mvloewner.model import _eval_at_points
+from mvloewner.model import POLE_THRESHOLD, _eval_at_points, _factor_matrix
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -39,6 +43,47 @@ REL_TOL = 1e-9
 SETTINGS = settings(max_examples=60, deadline=None)
 # the default chunk holds these small cases whole; 256 bytes splits them
 CHUNK_BYTES = st.sampled_from([model_module.SWEEP_CHUNK_BYTES, 256])
+
+
+def reference_eval(model, point):
+    """The barycentric quotient by one scalar contraction per weight vector.
+
+    A coordinate equal to a support point selects that support index (the
+    interpolation limit); otherwise its factor is ``1/(x - lambda)``.
+    """
+    factors = []
+    for l, support in enumerate(model.support_points):
+        diffs = complex(point[l]) - support
+        hits = np.nonzero(diffs == 0)[0]
+        if hits.size:
+            indicator = np.zeros(support.size, dtype=complex)
+            indicator[hits[0]] = 1.0
+            factors.append(indicator)
+        else:
+            factors.append(1.0 / diffs)
+    sums = []
+    for weights in (model.weights_c, model.weights_beta):
+        tensor = weights.reshape(model.counts)
+        for factor in reversed(factors):
+            tensor = tensor @ factor
+        sums.append(complex(tensor))
+    denominator, numerator = sums
+    if abs(denominator) < POLE_THRESHOLD:
+        raise PoleError(f"barycentric denominator vanishes at {tuple(point)}")
+    return numerator / denominator
+
+
+def reference_factor_matrix(support, coordinates):
+    """Cauchy factors by one masked division, with an indicator row per hit."""
+    diffs = np.asarray(coordinates, dtype=complex).reshape(-1, 1) - support
+    hits = diffs == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = 1.0 / diffs
+    rows = np.nonzero(hits.any(axis=1))[0]
+    if rows.size:
+        factors[rows] = 0.0
+        factors[rows, np.argmax(hits[rows], axis=1)] = 1.0
+    return factors
 
 
 def loop_max_error(model, source):
@@ -49,7 +94,7 @@ def loop_max_error(model, source):
     for combo in itertools.product(*pools):
         reference = source.value_at(combo)
         try:
-            mismatch = abs(eval_model(model, combo) - reference)
+            mismatch = abs(reference_eval(model, combo) - reference)
         except PoleError:
             mismatch = math.inf
         if mismatch > best:
@@ -65,7 +110,7 @@ def loop_sampled_sweep(model, source, seed, samples):
     for _ in range(samples):
         point = tuple(g.union_points[rng.integers(g.union_points.size)] for g in source.grids)
         try:
-            mismatch = abs(eval_model(model, point) - source.value_at(point))
+            mismatch = abs(reference_eval(model, point) - source.value_at(point))
         except PoleError:
             mismatch = math.inf
         if mismatch > error:
@@ -120,23 +165,25 @@ def test_max_error_matches_per_tuple_loop(case, chunk_bytes):
     _assert_same_sweep(batched, loop_max_error(model, source))
 
 
-@SETTINGS
-@given(models_on_grids(), st.integers(0, 2**32 - 1))
-def test_max_error_reports_pole_where_loop_does(case, seed):
+def _pole_case(model, source, rng):
     """Denominator weights pairwise equal along the last variable vanish at 1.
 
     With supports (0, 2) of the last variable, the factors at 1 are
     (1, -1), so every tuple whose last coordinate is 1 is an exact pole.
     """
-    model, source = case
-    rng = np.random.default_rng(seed)
     supports = [*model.support_points[:-1], np.array([0.0, 2.0])]
     rest = math.prod(model.counts[:-1])
     c = np.repeat(_complex(rng, rest), 2)
     pole_model = make_model(supports, c, _complex(rng, 2 * rest))
     grids = [*source.grids[:-1], VariableGrid(f"x{model.n_vars}", [2.0, 0.0], [1.0, -0.5])]
     extents = tuple(g.union_points.size for g in grids)
-    pole_source = DenseSource(Tableau(grids, _complex(rng, extents)))
+    return pole_model, DenseSource(Tableau(grids, _complex(rng, extents)))
+
+
+@SETTINGS
+@given(models_on_grids(), st.integers(0, 2**32 - 1))
+def test_max_error_reports_pole_where_loop_does(case, seed):
+    pole_model, pole_source = _pole_case(*case, np.random.default_rng(seed))
     batched = max_error(pole_model, pole_source)
     assert batched[0] == math.inf
     _assert_same_sweep(batched, loop_max_error(pole_model, pole_source))
@@ -144,28 +191,68 @@ def test_max_error_reports_pole_where_loop_does(case, seed):
     assert poles.tolist() == [True, False]
 
 
+def _scattered_points(model, rng, count):
+    """Each coordinate on a random support point or off the grid, evenly mixed."""
+    columns = []
+    for support in model.support_points:
+        off = rng.uniform(-1.2, 1.2, count)
+        on = support[rng.integers(support.size, size=count)]
+        columns.append(np.where(rng.random(count) < 0.5, on, off))
+    return np.stack(columns, axis=1)
+
+
 @SETTINGS
 @given(models_on_grids(), st.integers(0, 2**32 - 1), CHUNK_BYTES)
 def test_eval_at_points_matches_eval_model(case, seed, chunk_bytes):
-    """Scattered points, each coordinate on a support point or off the grid."""
-    model, _ = case
+    """``eval_model`` and ``_eval_at_points`` against the scalar reference.
+
+    Points mix support coordinates with off-grid ones; the pole model adds
+    exact poles wherever the last coordinate is 1.
+    """
     rng = np.random.default_rng(seed)
-    columns = []
-    for support in model.support_points:
-        off = rng.uniform(-1.2, 1.2, 40)
-        on = support[rng.integers(support.size, size=40)]
-        columns.append(np.where(rng.random(40) < 0.5, on, off))
-    points = np.stack(columns, axis=1)
-    with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
-        values, poles = _eval_at_points(model, points)
-    for point, value, pole in zip(points, values, poles):
-        try:
-            expected = eval_model(model, tuple(point))
-        except PoleError:
-            assert pole
-            continue
-        assert not pole
-        assert abs(value - expected) <= ABS_TOL + REL_TOL * abs(expected)
+    pole_model, _ = _pole_case(*case, rng)
+    for model in (case[0], pole_model):
+        points = _scattered_points(model, rng, 40)
+        if model is pole_model:
+            points[::2, -1] = 1.0
+        with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
+            values, poles = _eval_at_points(model, points)
+        for point, value, pole in zip(points, values, poles):
+            try:
+                expected = reference_eval(model, point)
+            except PoleError:
+                assert pole
+                with pytest.raises(PoleError):
+                    eval_model(model, tuple(point))
+                continue
+            assert not pole
+            scalar = eval_model(model, tuple(point))
+            for got in (value, scalar):
+                assert abs(got - expected) <= ABS_TOL + REL_TOL * abs(expected)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 30),
+    st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_factor_matrix_is_bitwise_the_masked_division(seed, k, count, hit_share):
+    """Rows with exact support hits: same bits as one masked division, no warning."""
+    rng = np.random.default_rng(seed)
+    support = _complex(rng, k)
+    coordinates = np.where(
+        rng.random(count) < hit_share,
+        support[rng.integers(k, size=count)],
+        _complex(rng, count),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        factors = _factor_matrix(support, coordinates)
+    expected = reference_factor_matrix(support, coordinates)
+    assert factors.dtype == expected.dtype and factors.shape == expected.shape
+    assert factors.tobytes() == expected.tobytes()
 
 
 @SETTINGS
