@@ -139,7 +139,7 @@ def make_flop_report(counts, order):
 # --- decoupled weights --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupledWeights:
     """Per-variable weight factors produced by the cascade.
 
@@ -184,7 +184,7 @@ def recombine(decoupled):
 # --- the cascade --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeResult:
     weights: np.ndarray
     decoupled: DecoupledWeights

@@ -96,11 +96,16 @@ def _parse_order(text, names):
     return tuple(int(p) - 1 for p in parts)
 
 
+def _finite_complex(text):
+    """A complex coordinate (``i`` or ``j`` as imaginary unit); NaN and infinity are refused."""
+    value = complex(text.strip().replace("i", "j").replace("I", "j"))
+    if not np.isfinite(value):
+        raise MvLoewnerError(f"coordinate {text.strip()!r} is not finite")
+    return value
+
+
 def _parse_point(text):
-    return tuple(
-        complex(part.strip().replace("i", "j").replace("I", "j"))
-        for part in text.split(",")
-    )
+    return tuple(_finite_complex(part) for part in text.split(","))
 
 
 def _fit_options(args, names=None):
@@ -294,7 +299,10 @@ def cmd_flops(args):
 def _parse_sweep(text):
     name, _, spec = text.partition("=")
     lo, hi, count = spec.split(":")
-    return name.strip(), float(lo), float(hi), int(count)
+    lo, hi = float(lo), float(hi)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise MvLoewnerError(f"sweep bounds {lo}:{hi} are not finite")
+    return name.strip(), lo, hi, int(count)
 
 
 def cmd_plot_data(args):
@@ -309,7 +317,7 @@ def cmd_plot_data(args):
     if args.frozen:
         for item in args.frozen.split(","):
             key, _, value = item.partition("=")
-            frozen[key.strip()] = complex(value.replace("i", "j"))
+            frozen[key.strip()] = _finite_complex(value)
     sweep_index = names.index(name)
     sweep = np.linspace(lo, hi, count)
     columns = []

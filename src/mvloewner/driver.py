@@ -42,7 +42,7 @@ class FitOptions:
             raise ValueError(f"unknown null-space method {self.nullspace_method!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     model: object
     realization: object

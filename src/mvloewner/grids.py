@@ -29,7 +29,7 @@ def _as_complex_vector(values, what):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableGrid:
     """One variable's support (column) and complementary (row) points."""
 
@@ -80,7 +80,7 @@ class VariableGrid:
         return order[pos]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tableau:
     """Dense sample tensor over the union grids of all variables."""
 
@@ -217,7 +217,7 @@ def check_disjoint(source):
     return violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Selection:
     """Per-variable choice of column (support) and row points."""
 

@@ -29,7 +29,7 @@ BYTES_PER_ENTRY = 16  # one complex double
 DEFAULT_MEMORY_GUARD = 256 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoewnerMatrix:
     """Dense Loewner matrix plus the point selection it was built from."""
 
@@ -42,7 +42,7 @@ class LoewnerMatrix:
         return self.entries.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SylvesterOperands:
     """Diagonal Kronecker factors and data vectors of the Sylvester system.
 
@@ -179,7 +179,7 @@ def numerical_rank(sigma, rel_tol=DEFAULT_RANK_TOL):
     return (sigma > rel_tol * sigma[..., :1]).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullspaceResult:
     """Smallest right singular vector with rank and gap diagnostics.
 

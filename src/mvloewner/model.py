@@ -29,7 +29,7 @@ POLE_THRESHOLD = 1e-300
 SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its peak memory)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarycentricModel:
     variable_names: tuple
     support_points: tuple
@@ -107,19 +107,25 @@ def _quotient(denominator, numerator):
         return numerator / denominator, poles
 
 
-def _contract_points(model, points):
-    """Denominator and numerator sums at ``(P, n)`` points, as ``(P, 2)``.
+def _point_factors(supports, points):
+    """One ``(P, k)`` factor matrix per variable for ``(P, n)`` points."""
+    return [_factor_matrix(s, points[:, l]) for l, s in enumerate(supports)]
 
-    Each point contracts the weight tensor with its own factor rows, last
-    variable first.
+
+def _contract_points(weights, factors):
+    """Contract a ``(2, K)`` weight array with per-point factor rows, as ``(P, 2)``.
+
+    ``factors`` holds one ``(P, k)`` matrix per axis of the weight tensor,
+    in the order of its axes (the first varies slowest); each point
+    contracts the tensor with its own rows, last axis first.  Row 0 of the
+    result is the denominator sum, row 1 the numerator sum.
     """
-    factors = [_factor_matrix(s, points[:, l]) for l, s in enumerate(model.support_points)]
-    counts = model.counts
+    count = factors[0].shape[0]
     # layout (P, 2 * K_{<l}, k_l): one weight matrix per point
-    tensor = factors[-1] @ model.weights.reshape(-1, counts[-1]).T
-    for factor, k in zip(reversed(factors[:-1]), reversed(counts[:-1])):
-        tensor = np.matmul(tensor.reshape(points.shape[0], -1, k), factor[:, :, None])
-    return tensor.reshape(points.shape[0], 2)
+    tensor = factors[-1] @ weights.reshape(-1, factors[-1].shape[1]).T
+    for factor in reversed(factors[:-1]):
+        tensor = np.matmul(tensor.reshape(count, -1, factor.shape[1]), factor[:, :, None])
+    return tensor.reshape(count, 2)
 
 
 def eval_model(model, point):
@@ -133,7 +139,8 @@ def eval_model(model, point):
     if len(point) != model.n_vars:
         raise GridError(f"expected {model.n_vars} coordinates, got {len(point)}")
     row = np.asarray(point, dtype=complex).reshape(1, -1)
-    denominator, numerator = _contract_points(model, row)[0].tolist()
+    factors = _point_factors(model.support_points, row)
+    denominator, numerator = _contract_points(model.weights, factors)[0].tolist()
     if abs(denominator) < POLE_THRESHOLD:
         raise PoleError(f"barycentric denominator vanishes at {tuple(point)}")
     return numerator / denominator
@@ -175,7 +182,8 @@ def _eval_at_points(model, points):
     chunk = max(1, SWEEP_CHUNK_BYTES // (model.weights.nbytes // model.counts[-1]))
     sums = np.empty((points.shape[0], 2), dtype=complex)
     for start in range(0, points.shape[0], chunk):
-        sums[start : start + chunk] = _contract_points(model, points[start : start + chunk])
+        factors = _point_factors(model.support_points, points[start : start + chunk])
+        sums[start : start + chunk] = _contract_points(model.weights, factors)
     return _quotient(sums[:, 0], sums[:, 1])
 
 

@@ -17,6 +17,17 @@ dimension is ``m = 2*ell + kappa - 1``; a Schur compression reduces it to
 
 The single-variable case degenerates to ``Phi = [X(1:k-1,:); -c^T]`` with
 constant ``C = beta`` and ``B = -e_k``.
+
+Evaluation never forms ``Phi``.  Block elimination leaves
+``H = y^T B_lag g / y^T A_lag g`` (``-C g / a_lag g`` with one variable),
+with ``g`` and ``y`` the Kronecker products of the right and left
+companions' last inverse columns; :func:`eval_realization` and the
+compressed ``evaluate`` contract these with the barycentric model's point
+kernel, O(K) per point.  Only ``phi()`` (full or compressed), the
+minimality check and the ``M1`` determinant build dense matrices, and
+each of them passes the memory guard first: a realization too large for a
+dense ``Phi`` (the ``"first"`` split of an 8-variable model, m = 5,835)
+still evaluates, while its ``phi()`` is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +48,7 @@ from .loewner import (
     _kron_of,
     numerical_rank,
 )
+from .model import POLE_THRESHOLD, _contract_points, _factor_matrix
 
 LOG_PRODUCT_CUTOFF = 300
 
@@ -64,7 +76,7 @@ def lagrange_inverse_weights(points):
     return np.exp(-np.sum(np.log(diffs), axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoCompanion:
     """Unimodular companion of one variable in the Lagrange basis.
 
@@ -187,9 +199,14 @@ def _guard_dense(size):
         raise MemoryGuardError(estimate, DEFAULT_MEMORY_GUARD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedRealization:
-    """Triple (C, Phi, B) with H(x) = C Phi(x)^{-1} B."""
+    """Triple (C, Phi, B) with H(x) = C Phi(x)^{-1} B.
+
+    ``weights`` is derived: ``[A_lag; B_lag]`` flattened to ``(2, ell *
+    kappa)`` over the axes ``split.left + split.right`` (``[a_lag; -C]``
+    with one variable), the denominator and numerator weights of ``H``.
+    """
 
     split: VariableSplit
     variable_names: tuple
@@ -198,6 +215,14 @@ class GeneralizedRealization:
     b_lag: np.ndarray
     c_vector: np.ndarray
     b_vector: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.split.left:
+            weights = np.stack([self.a_lag, self.b_lag]).reshape(2, -1)
+        else:
+            weights = np.stack([self.a_lag[0], -self.c_vector])
+        object.__setattr__(self, "weights", weights)
 
     @property
     def order(self):
@@ -230,6 +255,25 @@ class GeneralizedRealization:
         return matrix
 
 
+def _io_vectors(split, companions, beta):
+    """The documented constant ``(C, B)`` of a split.
+
+    With one variable ``C = beta`` and ``B = -e_k``; otherwise ``C =
+    -e_m`` and ``B = [0; q_Delta; 0]``, ``q_Delta`` the Kronecker product
+    of the left companions' closing weights.
+    """
+    m = split.order
+    b_vector = np.zeros(m, dtype=complex)
+    if not split.left:
+        b_vector[-1] = -1.0
+        return np.array(beta, dtype=complex), b_vector
+    kappa, ell = split.kappa, split.ell
+    b_vector[kappa - 1 : kappa - 1 + ell] = _kron_of([companions[i].q_weights for i in split.left])
+    c_vector = np.zeros(m, dtype=complex)
+    c_vector[-1] = -1.0
+    return c_vector, b_vector
+
+
 def build_realization(model, split=None):
     """Realization of a barycentric model for a left/right variable split.
 
@@ -244,17 +288,7 @@ def build_realization(model, split=None):
         build_pseudo_companion(points, name)
         for points, name in zip(model.support_points, model.variable_names)
     )
-    kappa, ell, m = split.kappa, split.ell, split.order
-    if not split.left:
-        c_vector = model.weights_beta.astype(complex)
-        b_vector = np.zeros(m, dtype=complex)
-        b_vector[-1] = -1.0
-    else:
-        delta_q_row = _kron_of([companions[i].q_weights for i in split.left])
-        b_vector = np.zeros(m, dtype=complex)
-        b_vector[kappa - 1 : kappa - 1 + ell] = delta_q_row
-        c_vector = np.zeros(m, dtype=complex)
-        c_vector[-1] = -1.0
+    c_vector, b_vector = _io_vectors(split, companions, model.weights_beta)
     return GeneralizedRealization(
         split=split,
         variable_names=model.variable_names,
@@ -266,18 +300,31 @@ def build_realization(model, split=None):
     )
 
 
-def _solve_resolvent(phi, rhs, point, label):
-    """``Phi^{-1} rhs``; a singular ``Phi`` means ``point`` is a pole."""
-    try:
-        return np.linalg.solve(phi, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"{label} is singular at {tuple(point)}") from exc
-
-
 def eval_realization(realization, point):
-    """Evaluate C Phi(point)^{-1} B by one dense solve."""
-    solution = _solve_resolvent(realization.phi(point), realization.b_vector, point, "resolvent")
-    return complex(realization.c_vector @ solution)
+    """Evaluate ``C Phi(point)^{-1} B`` without forming ``Phi``.
+
+    The first block row of ``Phi x = B`` forces ``x_1`` onto ``g``, and
+    ``y`` annihilates ``Delta(1:ell-1,:)^T``, which leaves ``H = y^T B_lag
+    g / y^T A_lag g`` (``-C g / a_lag g`` with one variable).  Neither
+    quotient changes when one variable's vector is rescaled, so the Cauchy
+    rows ``1/(x - lambda)`` (a support indicator at a support coordinate)
+    stand in for the companions' last inverse columns, contracted with
+    ``realization.weights`` by the model's point kernel.
+
+    Raises
+    ------
+    PoleError
+        If the denominator vanishes at ``point``.
+    """
+    values = realization._point_map(point)
+    factors = [
+        _factor_matrix(realization.companions[i].points, values[i])
+        for i in realization.split.left + realization.split.right
+    ]
+    denominator, numerator = _contract_points(realization.weights, factors)[0].tolist()
+    if abs(denominator) < POLE_THRESHOLD:
+        raise PoleError(f"realization denominator vanishes at {tuple(point)}")
+    return numerator / denominator
 
 
 @dataclass(frozen=True)
@@ -315,8 +362,9 @@ class CompressedRealization:
         return out
 
     def evaluate(self, point):
-        solution = _solve_resolvent(self.phi(point), self.b_vector, point, "compressed resolvent")
-        return complex(self.c_row(point) @ solution)
+        """``c_row Phi_c^{-1} B_c``, which the Schur compression keeps equal to
+        :func:`eval_realization` of the parent."""
+        return eval_realization(self.parent, point)
 
 
 def compress_realization(realization):
@@ -458,7 +506,21 @@ def realization_to_dict(realization):
     }
 
 
+def _coefficient_block(rows, shape, label):
+    rows = [_pairs_to_complex(row) for row in rows]
+    if len(rows) != shape[0] or any(row.size != shape[1] for row in rows):
+        raise GridError(f"{label} must be {shape[0]}x{shape[1]}")
+    return np.array(rows, dtype=complex).reshape(shape)
+
+
 def realization_from_dict(data):
+    """Load a realization, refusing blocks and vectors off the documented form.
+
+    ``A_lag``/``B_lag`` must be ``ell``-by-``kappa`` (one row and none with
+    one variable) and ``C``/``B`` must follow the pattern of
+    :func:`build_realization` to a relative 1e-12, so that evaluation's
+    block elimination holds for every file accepted.
+    """
     names = [str(n) for n in data["variables"]]
     companions = tuple(
         PseudoCompanion(
@@ -468,22 +530,33 @@ def realization_from_dict(data):
         )
         for entry in data["companions"]
     )
+    for comp in companions:
+        if np.unique(comp.points).size != comp.size or comp.q_weights.size != comp.size:
+            raise GridError(f"companion {comp.name!r} needs distinct points and one weight each")
     counts = tuple(comp.size for comp in companions)
     right = tuple(names.index(n) for n in data["split"]["right"])
     left = tuple(names.index(n) for n in data["split"]["left"])
     split = VariableSplit(right, left, counts)
-    a_rows = [_pairs_to_complex(row) for row in data["A_lag"]]
-    b_rows = [_pairs_to_complex(row) for row in data["B_lag"]]
-    a_lag = np.vstack(a_rows) if a_rows else np.zeros((0, split.kappa), dtype=complex)
-    b_lag = np.vstack(b_rows) if b_rows else np.zeros((0, split.kappa), dtype=complex)
+    rows = split.ell if split.left else 0
+    a_lag = _coefficient_block(data["A_lag"], (split.ell, split.kappa), "A_lag")
+    b_lag = _coefficient_block(data["B_lag"], (rows, split.kappa), "B_lag")
+    c_vector = _pairs_to_complex(data["C"])
+    b_vector = _pairs_to_complex(data["B"])
+    for label, vector, expected in zip(
+        ("C", "B"), (c_vector, b_vector), _io_vectors(split, companions, c_vector)
+    ):
+        if vector.size != split.order:
+            raise GridError(f"{label} must have length {split.order}, got {vector.size}")
+        if not np.allclose(vector, expected, rtol=1e-12, atol=0):
+            raise GridError(f"{label} is not the documented constant vector of this split")
     return GeneralizedRealization(
         split=split,
         variable_names=tuple(names),
         companions=companions,
         a_lag=a_lag,
         b_lag=b_lag,
-        c_vector=_pairs_to_complex(data["C"]),
-        b_vector=_pairs_to_complex(data["B"]),
+        c_vector=c_vector,
+        b_vector=b_vector,
     )
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mvloewner import eval_model, load_model, source_to_dict
+from mvloewner import eval_model, load_model, make_model, model_to_dict, source_to_dict
 from mvloewner.cli import format_complex, main
 from conftest import C1_EXPECTED, SYNTH_2D_TEXT
 
@@ -253,8 +253,6 @@ def test_plot_data_sweep(tmp_path, synth2d_file, capsys):
 
 
 def test_plot_data_flags_pole(tmp_path, capsys):
-    from mvloewner import make_model, model_to_dict
-
     model = make_model([[0, 2]], [1.0, 1.0], [1.0, -1.0], names=["s"])
     model_path = _write_json(tmp_path / "pole.json", model_to_dict(model))
     code = main(["plot-data", "--model", model_path, "--sweep", "s=0:2:3"])
@@ -273,3 +271,49 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--point", "nan,0.3"],
+        ["eval", "--point", "0.2,1e400"],
+        ["eval", "--point", "0.2,nanj"],
+        ["plot-data", "--sweep", "s=0:2:3", "--frozen", "t=nan"],
+        ["plot-data", "--sweep", "s=0:2:3", "--frozen", "t=1+1e999i"],
+        ["plot-data", "--sweep", "s=nan:2:3", "--frozen", "t=1"],
+        ["plot-data", "--sweep", "s=0:inf:3", "--frozen", "t=1"],
+    ],
+)
+def test_non_finite_coordinates_are_input_errors(tmp_path, capsys, argv):
+    model = make_model([[0, 2], [1, 3]], np.ones(4), np.arange(4.0), names=["s", "t"])
+    path = _write_json(tmp_path / "m.json", model_to_dict(model))
+    assert main([argv[0], "--model", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_verify_refuses_hand_edited_realizations(tmp_path, source_2d, capsys):
+    data_path = _write_json(tmp_path / "d.json", source_to_dict(source_2d.densify()))
+    model_path = tmp_path / "m.json"
+    real_path = tmp_path / "r.json"
+    main(["fit", "--data", data_path, "--degrees", "2,1", "--out", str(model_path)])
+    main(["realize", "--model", str(model_path), "--split", "s|t", "--out", str(real_path)])
+    capsys.readouterr()
+    edits = (
+        lambda doc: doc["A_lag"].pop(),  # A_lag 1 x 3, not ell x kappa = 2 x 3
+        lambda doc: doc["C"].pop(),  # C of length 5, not m = 6
+        lambda doc: doc["B"][2].__setitem__(0, 1.0),  # B off [0; q_Delta; 0]
+    )
+    for number, edit in enumerate(edits):
+        doc = json.loads(real_path.read_text())
+        edit(doc)
+        edited = _write_json(tmp_path / f"edited{number}.json", doc)
+        code = main(
+            ["verify", "--model", str(model_path), "--data", data_path, "--realization", edited]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

@@ -182,3 +182,21 @@ def test_model_json_round_trip_is_bit_exact(source_3d):
     for a, b in zip(clone.support_points, model.support_points):
         np.testing.assert_array_equal(a, b)
     assert clone.variable_names == model.variable_names
+
+
+def test_array_holding_objects_compare_by_identity():
+    from mvloewner import VariableGrid, build_pseudo_companion, build_realization
+
+    def instances():
+        model = make_model([[0, 1], [2, 3, 4]], np.arange(1.0, 7.0), np.ones(6))
+        return (
+            model,
+            build_realization(model),
+            build_pseudo_companion([0.0, 1.0], "s"),
+            VariableGrid("s", [0.0, 1.0], [0.5]),
+        )
+
+    for first, second in zip(instances(), instances()):
+        assert first == first
+        assert (first == second) is False
+        assert first != second

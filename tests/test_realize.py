@@ -1,5 +1,6 @@
 """Generalized realizations: companions, splits, assembly, compression."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -39,6 +40,38 @@ def _model_from_source(source):
     supports = [g.column_points for g in source.grids]
     values = source.values_on_product(supports).reshape(-1)
     return make_model(supports, weights, values, names=source.names)
+
+
+def _solve_resolvent(phi, rhs, point, label):
+    """Dense reference: ``Phi^{-1} rhs``; a singular ``Phi`` means ``point`` is a pole."""
+    try:
+        return np.linalg.solve(phi, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"{label} is singular at {tuple(point)}") from exc
+
+
+def dense_value(realization, point):
+    """``C Phi(point)^{-1} B`` by one dense solve."""
+    solution = _solve_resolvent(realization.phi(point), realization.b_vector, point, "resolvent")
+    return complex(realization.c_vector @ solution)
+
+
+def dense_compressed_value(compressed, point):
+    """``c_row(point) Phi_c(point)^{-1} B_c`` by one dense solve."""
+    solution = _solve_resolvent(compressed.phi(point), compressed.b_vector, point, "compressed")
+    return complex(compressed.c_row(point) @ solution)
+
+
+def _all_splits(counts):
+    """Every ordered right|left split of the variables (the single split with one variable)."""
+    n = len(counts)
+    if n == 1:
+        return [make_split((0,), counts)]
+    return [
+        make_split(perm[:cut], counts, perm[cut:])
+        for perm in itertools.permutations(range(n))
+        for cut in range(1, n)
+    ]
 
 
 # --- pseudo-companion ---------------------------------------------------
@@ -213,13 +246,7 @@ def test_arrange_coefficients_matches_enumeration(counts, seed):
         rng.normal(size=size) + 1j * rng.normal(size=size),
         rng.normal(size=size) + 1j * rng.normal(size=size),
     )
-    n = len(counts)
-    splits = [make_split((0,), model.counts)] if n == 1 else [
-        make_split(perm[:cut], model.counts, perm[cut:])
-        for perm in itertools.permutations(range(n))
-        for cut in range(1, n)
-    ]
-    for split in splits:
+    for split in _all_splits(model.counts):
         for got, expected in zip(
             arrange_coefficients(model, split), _arrange_by_enumeration(model, split)
         ):
@@ -312,6 +339,65 @@ def test_realization_equals_model_everywhere(source_1d, source_2d, source_3d):
             assert abs(value - reference) <= 1e-8 * (1 + abs(reference))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_structured_evaluation_matches_the_dense_solve(counts, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(counts)
+    support = [np.arange(k) + 0.3 * rng.uniform(-1, 1, k) for k in counts]
+    model = make_model(
+        support,
+        rng.normal(size=size) + 1j * rng.normal(size=size),
+        rng.normal(size=size) + 1j * rng.normal(size=size),
+    )
+    # each coordinate on one of its support points or off them, with both
+    # extremes always present
+    points = [tuple(s[0] for s in support), tuple(rng.uniform(-1, 4, len(counts)))]
+    points.append(
+        tuple(s[rng.integers(s.size)] if rng.random() < 0.4 else rng.uniform(-1, 4) for s in support)
+    )
+    for split in _all_splits(model.counts):
+        realization = build_realization(model, split)
+        for point in points:
+            reference = dense_value(realization, point)
+            value = eval_realization(realization, point)
+            assert abs(value - reference) <= 1e-10 * abs(reference)
+            if split.left:
+                compressed = compress_realization(realization)
+                reference = dense_compressed_value(compressed, point)
+                value = compressed.evaluate(point)
+                assert abs(value - reference) <= 1e-10 * abs(reference)
+
+
+def _two_point_pole_models():
+    """``c = [1, 1]`` on ``{0, 2}`` vanishes at 1, alone and as a two-variable product."""
+    single = make_model([[0.0, 2.0]], [1.0, 1.0], [1.0, -1.0])
+    product = make_model([[0.0, 2.0], [0.0, 2.0]], np.ones(4), np.arange(1.0, 5.0))
+    return single, product
+
+
+def test_exact_poles_raise_in_every_path():
+    single, product = _two_point_pole_models()
+    realization = build_realization(single)
+    for evaluate in (eval_realization, dense_value):
+        with pytest.raises(PoleError):
+            evaluate(realization, (1.0,))
+    for split in _all_splits(product.counts):
+        realization = build_realization(product, split)
+        compressed = compress_realization(realization)
+        for point in ((1.0, 0.5), (0.5, 1.0), (1.0, 1.0)):
+            with pytest.raises(PoleError):
+                eval_realization(realization, point)
+            with pytest.raises(PoleError):
+                compressed.evaluate(point)
+        # rounding leaves Phi invertible at some one-sided poles; at (1, 1) it is singular
+        with pytest.raises(PoleError):
+            dense_value(realization, (1.0, 1.0))
+
+
 def test_swapping_coefficient_blocks_inverts_the_function(source_2d):
     model = _model_from_source(source_2d)
     realization = build_realization(model, make_split((0,), model.counts))
@@ -366,8 +452,8 @@ def test_compression_matches_full_evaluation(source_2d, source_3d):
         assert compressed.size == realization.order - realization.split.ell
         for _ in range(100):
             point = tuple(rng.uniform(7, 10, model.n_vars))
-            full = eval_realization(realization, point)
-            assert compressed.evaluate(point) == pytest.approx(full, rel=1e-9, abs=1e-9)
+            reference = dense_compressed_value(compressed, point)
+            assert compressed.evaluate(point) == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
 
 def test_compression_rejects_single_variable(source_1d):
@@ -460,9 +546,20 @@ def test_dense_phi_past_the_guard_is_refused_before_allocating():
     realization = build_realization(model, make_split((0,), counts))
     assert realization.order == 5835
     point = tuple(np.full(len(counts), 0.5))
+    compressed = compress_realization(realization)
+    # evaluation never forms Phi
+    for evaluate in (lambda: eval_realization(realization, point), lambda: compressed.evaluate(point)):
+        tracemalloc.start()
+        try:
+            value = evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1.0, rel=1e-12)
+        assert peak < 2**20
     calls = (
-        lambda: eval_realization(realization, point),
-        lambda: compress_realization(realization).evaluate(point),
+        lambda: realization.phi(point),
+        lambda: compressed.phi(point),
         lambda: check_r_minimality(realization, [point]),
     )
     for call in calls:
@@ -544,3 +641,54 @@ def test_realization_json_round_trip(source_3d):
         assert eval_realization(clone, point) == pytest.approx(
             eval_realization(realization, point), rel=1e-12
         )
+
+
+def _set(path, value):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc["A_lag"].pop(), id="A_lag_2x4_not_3x4"),
+        pytest.param(lambda doc: doc["B_lag"][1].pop(), id="B_lag_short_row"),
+        pytest.param(lambda doc: doc["C"].append([0.0, 0.0]), id="C_length_10_not_9"),
+        pytest.param(lambda doc: doc["B"].pop(), id="B_length_8_not_9"),
+        pytest.param(_set(("B", 0), [1.0, 0.0]), id="B_nonzero_outside_q"),
+        pytest.param(_set(("B", 4), [0.3, 0.0]), id="B_not_the_q_product"),
+        pytest.param(_set(("C", 8), [1.0, 0.0]), id="C_plus_e_m"),
+        pytest.param(_set(("C", 0), [0.0, 1e-9]), id="C_nonzero_entry"),
+        pytest.param(_set(("companions", 2, "q", 1), [9.0, 0.0]), id="q_changed_B_kept"),
+        pytest.param(_set(("companions", 0, "points", 1), [2.0, 0.0]), id="repeated_point"),
+    ],
+)
+def test_loader_refuses_realizations_off_the_documented_form(source_3d, edit):
+    model = _model_from_source(source_3d)
+    doc = realization_to_dict(build_realization(model, make_split((0, 1), model.counts)))
+    realization_from_dict(copy.deepcopy(doc))
+    edit(doc)
+    with pytest.raises(GridError):
+        realization_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc["A_lag"].append(doc["A_lag"][0]), id="A_lag_two_rows"),
+        pytest.param(lambda doc: doc["B_lag"].append(doc["A_lag"][0]), id="B_lag_one_row"),
+        pytest.param(_set(("B", 2), [1.0, 0.0]), id="B_plus_e_k"),
+        pytest.param(_set(("B", 0), [-1.0, 0.0]), id="B_nonzero_entry"),
+    ],
+)
+def test_loader_refuses_single_variable_realizations_off_the_documented_form(source_1d, edit):
+    doc = realization_to_dict(build_realization(_model_from_source(source_1d)))
+    realization_from_dict(copy.deepcopy(doc))
+    edit(doc)
+    with pytest.raises(GridError):
+        realization_from_dict(doc)
