@@ -233,7 +233,9 @@ def evaluate(expr, assignment):
     expr : Expression
     assignment : mapping from variable name to complex scalar or ndarray
         Arrays must be mutually broadcastable; the result then has the
-        broadcast shape.
+        broadcast shape.  A subexpression over scalars alone is computed
+        with Python ``complex`` arithmetic, except that it divides by
+        numpy's rule, so on real values it rounds as its array form would.
 
     Returns
     -------
@@ -242,35 +244,51 @@ def evaluate(expr, assignment):
     Raises
     ------
     EvaluationError
-        If a referenced variable is missing from ``assignment`` or any
-        divisor is exactly zero.
+        If a referenced variable is missing from ``assignment``, any
+        divisor is exactly zero, or a scalar power overflows.
     """
-    if isinstance(expr, Constant):
-        return complex(expr.value)
-    if isinstance(expr, PiConstant):
-        return PI
-    if isinstance(expr, Variable):
+    # dispatch on the exact node type, most frequent first
+    kind = type(expr)
+    if kind is BinaryOp:
+        left = evaluate(expr.left, assignment)
+        right = evaluate(expr.right, assignment)
+        op = expr.op
+        if op == "+":
+            return left + right
+        if op == "*":
+            return left * right
+        if op == "-":
+            return left - right
+        if isinstance(right, np.ndarray):
+            if not right.all():
+                raise EvaluationError("division by zero")
+            return left / right
+        if right == 0:
+            raise EvaluationError("division by zero")
+        if isinstance(left, np.ndarray):
+            return left / right
+        # numpy's rule, not Python's: numpy multiplies by the reciprocal of
+        # Smith's denominator, so a scalar quotient rounds as its array form
+        return complex(np.complex128(left) / right)
+    if kind is Variable:
         try:
             value = assignment[expr.name]
         except KeyError:
             raise EvaluationError(f"no value assigned to variable {expr.name!r}") from None
         return value if isinstance(value, np.ndarray) else complex(value)
-    if isinstance(expr, Negate):
+    if kind is Power:
+        base = evaluate(expr.base, assignment)
+        try:
+            return base ** expr.exponent
+        except OverflowError:
+            # Python's complex power raises where numpy's returns inf
+            raise EvaluationError(f"power ^{expr.exponent} overflows") from None
+    if kind is Constant:
+        return complex(expr.value)
+    if kind is PiConstant:
+        return PI
+    if kind is Negate:
         return -evaluate(expr.operand, assignment)
-    if isinstance(expr, Power):
-        return evaluate(expr.base, assignment) ** expr.exponent
-    if isinstance(expr, BinaryOp):
-        left = evaluate(expr.left, assignment)
-        right = evaluate(expr.right, assignment)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if np.any(right == 0):
-            raise EvaluationError("division by zero")
-        return left / right
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -188,15 +188,29 @@ class OracleSource(DataSource):
         return np.array(values)
 
     def values_on_product(self, per_var_points):
+        """Sample tensor over the cartesian product of the given point lists.
+
+        The product is an open mesh: variable ``l`` enters the expression
+        as a view of shape ``(1, ..., k_l, ..., 1)`` and numpy broadcasting
+        forms the product, so no full-size copy of any axis is made.  An
+        axis of one point enters as a Python ``complex`` scalar, as in
+        :meth:`value_at`.  The result is a fresh C-ordered array of shape
+        ``tuple(len(p) for p in per_var_points)``.
+        """
         axes = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in per_var_points]
-        mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
-        assignment = {g.name: m for g, m in zip(self.grids, mesh)}
+        n = len(axes)
+        assignment = {}
+        for l, (grid, axis) in enumerate(zip(self.grids, axes)):
+            if axis.size == 1:
+                assignment[grid.name] = complex(axis[0])
+            else:
+                assignment[grid.name] = axis.reshape((1,) * l + (-1,) + (1,) * (n - 1 - l))
         values = expressions.evaluate(self.expression, assignment)
         values = np.asarray(values, dtype=complex)
         values = np.broadcast_to(values, tuple(a.size for a in axes))
         if not np.all(np.isfinite(values)):
             raise EvaluationError("oracle produced non-finite values on the requested product grid")
-        return np.array(values)
+        return np.array(values, order="C")
 
     def densify(self):
         """Materialize the oracle on its full union grids as a DenseSource."""
@@ -316,8 +330,20 @@ class Selection:
 # --- JSON interchange ---------------------------------------------------
 
 
-def _pairs_to_complex(pairs):
-    return np.asarray([complex(re, im) for re, im in pairs], dtype=complex)
+def _pairs_to_complex(pairs, what):
+    """Complex vector from JSON ``[[re, im], ...]``; ``what`` names the list in errors."""
+    if not isinstance(pairs, (list, tuple)):
+        raise GridError(f"{what} must be a list of [real, imaginary] pairs, got {pairs!r}")
+    values = []
+    for i, pair in enumerate(pairs):
+        try:
+            re, im = pair
+            values.append(complex(re, im))
+        except (TypeError, ValueError, OverflowError):
+            raise GridError(
+                f"{what} entry {i} is not a [real, imaginary] pair of numbers: {pair!r}"
+            ) from None
+    return np.asarray(values, dtype=complex)
 
 
 def _complex_to_pairs(values):
@@ -327,11 +353,12 @@ def _complex_to_pairs(values):
 def _grids_from_json(entries):
     grids = []
     for entry in entries:
+        name = entry["name"]
         grids.append(
             VariableGrid(
-                entry["name"],
-                _pairs_to_complex(entry["lambda"]),
-                _pairs_to_complex(entry.get("mu", [])),
+                name,
+                _pairs_to_complex(entry["lambda"], f"lambda of variable {name!r}"),
+                _pairs_to_complex(entry.get("mu", []), f"mu of variable {name!r}"),
             )
         )
     return grids
@@ -361,7 +388,7 @@ def source_from_dict(data):
         return OracleSource(expr, grids)
     if "values" not in data:
         raise GridError("data file needs either an 'expression' or a 'values' entry")
-    flat = _pairs_to_complex(data["values"])
+    flat = _pairs_to_complex(data["values"], "values")
     extents = tuple(g.union_points.size for g in grids)
     expected = int(np.prod(extents))
     if flat.size != expected:

@@ -238,11 +238,11 @@ def model_to_dict(model):
 
 
 def model_from_dict(data):
-    support = [_pairs_to_complex(p) for p in data["support"]]
+    support = [_pairs_to_complex(p, f"support {l}") for l, p in enumerate(data["support"])]
     return make_model(
         support,
-        _pairs_to_complex(data["c"]),
-        _pairs_to_complex(data["w"]),
+        _pairs_to_complex(data["c"], "c"),
+        _pairs_to_complex(data["w"], "w"),
         names=data["variables"],
     )
 

@@ -507,7 +507,7 @@ def realization_to_dict(realization):
 
 
 def _coefficient_block(rows, shape, label):
-    rows = [_pairs_to_complex(row) for row in rows]
+    rows = [_pairs_to_complex(row, f"{label} row {i}") for i, row in enumerate(rows)]
     if len(rows) != shape[0] or any(row.size != shape[1] for row in rows):
         raise GridError(f"{label} must be {shape[0]}x{shape[1]}")
     return np.array(rows, dtype=complex).reshape(shape)
@@ -525,8 +525,8 @@ def realization_from_dict(data):
     companions = tuple(
         PseudoCompanion(
             entry["name"],
-            _pairs_to_complex(entry["points"]),
-            _pairs_to_complex(entry["q"]),
+            _pairs_to_complex(entry["points"], f"points of companion {entry['name']!r}"),
+            _pairs_to_complex(entry["q"], f"q of companion {entry['name']!r}"),
         )
         for entry in data["companions"]
     )
@@ -540,8 +540,8 @@ def realization_from_dict(data):
     rows = split.ell if split.left else 0
     a_lag = _coefficient_block(data["A_lag"], (split.ell, split.kappa), "A_lag")
     b_lag = _coefficient_block(data["B_lag"], (rows, split.kappa), "B_lag")
-    c_vector = _pairs_to_complex(data["C"])
-    b_vector = _pairs_to_complex(data["B"])
+    c_vector = _pairs_to_complex(data["C"], "C")
+    b_vector = _pairs_to_complex(data["B"], "B")
     for label, vector, expected in zip(
         ("C", "B"), (c_vector, b_vector), _io_vectors(split, companions, c_vector)
     ):

@@ -317,3 +317,53 @@ def test_verify_refuses_hand_edited_realizations(tmp_path, source_2d, capsys):
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ([1, 2], "lambda of variable 's' entry 0"),  # numbers, not pairs
+        ([["1", 0], [2, 0]], "lambda of variable 's' entry 0"),  # a string real part
+        ([[1, 0], [2, 0, 0]], "lambda of variable 's' entry 1"),  # a triple
+        (7, "lambda of variable 's' must be a list"),
+    ],
+)
+def test_malformed_pairs_in_a_data_file_are_input_errors(tmp_path, capsys, entry, named):
+    doc = {"variables": [{"name": "s", "lambda": entry, "mu": [[3, 0]]}], "expression": "s+1"}
+    path = _write_json(tmp_path / "bad.json", doc)
+    assert main(["order-detect", "--data", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_malformed_pairs_in_model_and_realization_files_are_input_errors(tmp_path, source_2d, capsys):
+    data_path = _write_json(tmp_path / "d.json", source_to_dict(source_2d.densify()))
+    model_path = tmp_path / "m.json"
+    real_path = tmp_path / "r.json"
+    main(["fit", "--data", data_path, "--degrees", "2,1", "--out", str(model_path)])
+    main(["realize", "--model", str(model_path), "--split", "s|t", "--out", str(real_path)])
+    capsys.readouterr()
+
+    model = json.loads(model_path.read_text())
+    model["c"][1] = ["1", 0]
+    bad_model = _write_json(tmp_path / "bad_model.json", model)
+    assert main(["eval", "--model", bad_model, "--point", "1,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c entry 1" in captured.err
+
+    edits = (
+        (lambda doc: doc["A_lag"][0].__setitem__(2, 5), "A_lag row 0 entry 2"),
+        (lambda doc: doc["companions"][1].__setitem__("q", [1, 2]), "q of companion 't' entry 0"),
+        (lambda doc: doc["C"].__setitem__(0, [None, 0]), "C entry 0"),
+    )
+    for number, (edit, named) in enumerate(edits):
+        doc = json.loads(real_path.read_text())
+        edit(doc)
+        edited = _write_json(tmp_path / f"edited{number}.json", doc)
+        code = main(
+            ["verify", "--model", str(model_path), "--data", data_path, "--realization", edited]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
