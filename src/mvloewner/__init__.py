@@ -86,4 +86,5 @@ from .realize import (
     polynomial_determinant,
     realization_from_dict,
     realization_to_dict,
+    resolve_split,
 )

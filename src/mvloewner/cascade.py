@@ -198,7 +198,6 @@ def cascaded_nullspace(
     selection=None,
     order=None,
     rel_tol=DEFAULT_RANK_TOL,
-    anchors=None,
 ):
     """Weight vector of the n-D Loewner matrix via the 1-D cascade.
 
@@ -214,11 +213,10 @@ def cascaded_nullspace(
         Recursion order over variable indices; defaults to descending
         support count (the flop-optimal order).
     rel_tol : float
-        Rank tolerance for the 1-D null spaces.
-    anchors : sequence of int, optional
-        Initial anchor support index per variable; defaults to the last
-        column point.  A variable whose anchor weight vanishes is
-        re-anchored at the largest entry and the cascade restarts.
+        Rank tolerance for the 1-D null spaces.  Each variable is first
+        anchored at its last column point; a variable whose anchor weight
+        vanishes is re-anchored at the largest entry and the cascade
+        restarts.
 
     Returns
     -------
@@ -247,10 +245,7 @@ def cascaded_nullspace(
             raise ValueError(f"order {order!r} is not a permutation of 0..{n - 1}")
     selection = selection.nearest_rows()
 
-    if anchors is None:
-        anchors = [counts[l] - 1 for l in range(n)]
-    else:
-        anchors = [int(a) % counts[l] for l, a in enumerate(anchors)]
+    anchors = [k - 1 for k in counts]
 
     for _ in range(max(_MAX_REANCHOR_PASSES, 2 * sum(counts))):
         factors, reanchor = _level_pass(source, selection, order, anchors, rel_tol)

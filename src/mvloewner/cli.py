@@ -43,8 +43,7 @@ from .realize import (
     eval_realization,
     load_realization,
     make_split,
-    optimal_split,
-    save_realization,
+    realization_to_dict,
 )
 
 EXIT_OK = 0
@@ -187,30 +186,23 @@ def cmd_eval(args):
 
 
 def _split_from_arg(text, model):
-    names = list(model.variable_names)
-    counts = model.counts
+    """``auto``, right names, or ``right|left`` names, as a ``build_realization`` split."""
     if text == "auto":
-        if len(counts) == 1:
-            return make_split((0,), counts)
-        return optimal_split([k - 1 for k in counts])
+        return text
+    names = list(model.variable_names)
     if "|" in text:
         right_text, _, left_text = text.partition("|")
-        right = _parse_order(right_text, names)
-        left = _parse_order(left_text, names)
-        return make_split(right, counts, left)
-    return make_split(_parse_order(text, names), counts)
+        right, left = _parse_order(right_text, names), _parse_order(left_text, names)
+        return make_split(right, model.counts, left)
+    return _parse_order(text, names)
 
 
 def cmd_realize(args):
     model = load_model(args.model)
-    split = _split_from_arg(args.split, model)
-    realization = build_realization(model, split)
-    save_realization(realization, args.out)
-    print(
-        json.dumps(
-            {"m": realization.order, "kappa": split.kappa, "ell": split.ell}
-        )
-    )
+    realization = build_realization(model, _split_from_arg(args.split, model))
+    write_json_atomic(realization_to_dict(realization), args.out)
+    split = realization.split
+    print(json.dumps({"m": realization.order, "kappa": split.kappa, "ell": split.ell}))
     return EXIT_OK
 
 

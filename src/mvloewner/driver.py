@@ -20,12 +20,13 @@ from .errors import DegenerateNullspaceError, GridError, NotConvergedError
 from .grids import Selection, check_disjoint
 from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error
-from .realize import build_realization, make_split, optimal_split
+from .realize import build_realization
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs shared by both drivers."""
+    """Knobs of the drivers; ``degrees``, ``order_sample_budget``, ``seed``
+    and ``split`` are read only by :func:`fit_direct`."""
 
     nullspace_method: str = "cascaded"  # "cascaded" | "full"
     variable_order: object = "auto"  # "auto" or explicit index sequence
@@ -33,7 +34,7 @@ class FitOptions:
     degrees: tuple | None = None
     order_sample_budget: int = 10
     seed: int = 0
-    split: object = "first"  # "first" | "auto" | explicit right-index sequence
+    split: object = "first"  # a realize.resolve_split spec
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -98,37 +99,31 @@ def _resolve_order(opts, counts):
     return tuple(int(i) for i in opts.variable_order)
 
 
-def _resolve_split(opts, degrees):
-    n = len(degrees)
-    counts = tuple(d + 1 for d in degrees)
-    if n == 1 or opts.split == "first":
-        return make_split((0,), counts)
-    if opts.split == "auto":
-        return optimal_split(degrees)
-    return make_split(tuple(int(i) for i in opts.split), counts)
+def _fit_selection(source, selection, opts):
+    """Model on a selection by the configured method, and its flop report.
 
-
-def _weights_for_selection(source, selection, opts, order):
-    """Weight vector for a selection, by the configured method.
-
-    Returns ``(weights, report)`` with the weights normalized at the
-    all-anchors entry (cascade) or the last entry (full SVD).
+    The weights are normalized at the all-anchors entry (cascade) or the
+    last entry (full SVD).
     """
     counts = selection.counts
+    order = _resolve_order(opts, counts)
     if opts.nullspace_method == "cascaded":
         result = cascaded_nullspace(
             source, selection=selection, order=order, rel_tol=opts.rel_tol
         )
-        return result.weights, result.report
-    lm = build_loewner_nd(source, selection)
-    result = nullspace_vector(lm, opts.rel_tol)
-    if result.rank < math.prod(counts) - 1:
-        raise DegenerateNullspaceError(
-            f"null space of the full matrix has dimension "
-            f"{math.prod(counts) - result.rank}; the chosen degrees are too "
-            "high, reduce them",
-        )
-    return result.vector, make_flop_report(counts, order)
+        weights, report = result.weights, result.report
+    else:
+        lm = build_loewner_nd(source, selection)
+        result = nullspace_vector(lm, opts.rel_tol)
+        if result.rank < math.prod(counts) - 1:
+            raise DegenerateNullspaceError(
+                f"null space of the full matrix has dimension "
+                f"{math.prod(counts) - result.rank}; the chosen degrees are too "
+                "high, reduce them",
+            )
+        weights, report = result.vector, make_flop_report(counts, order)
+    values = source.values_on_product(selection.col_points).reshape(-1)
+    return make_model(selection.col_points, weights, values, names=source.names), report
 
 
 def fit_direct(source, opts=None):
@@ -157,15 +152,10 @@ def fit_direct(source, opts=None):
             )
             k = limit
         counts.append(k)
-    selection = Selection.spread_columns(source, counts)
-    order = _resolve_order(opts, selection.counts)
-    weights, report = _weights_for_selection(source, selection, opts, order)
-    values = source.values_on_product(selection.col_points).reshape(-1)
-    model = make_model(selection.col_points, weights, values, names=source.names)
-    degrees_final = tuple(k - 1 for k in selection.counts)
-    split = _resolve_split(opts, degrees_final)
-    realization = build_realization(model, split)
-    return FitResult(model, realization, report, degrees_final, weights)
+    model, report = _fit_selection(source, Selection.spread_columns(source, counts), opts)
+    degrees_final = tuple(k - 1 for k in model.counts)
+    realization = build_realization(model, opts.split)
+    return FitResult(model, realization, report, degrees_final, model.weights_c)
 
 
 def fit_adaptive(source, tol, opts=None):
@@ -189,17 +179,14 @@ def fit_adaptive(source, tol, opts=None):
     while True:
         selection = Selection.from_supports(source, chosen).nearest_rows()
         counts = selection.counts
-        order = _resolve_order(opts, counts)
         try:
-            weights, report = _weights_for_selection(source, selection, opts, order)
+            model, report = _fit_selection(source, selection, opts)
         except DegenerateNullspaceError as exc:
             raise NotConvergedError(
                 f"weight computation became degenerate at supports {counts}: {exc}",
                 best_model=None if best is None else best[1],
                 log=log,
             ) from exc
-        values = source.values_on_product(selection.col_points).reshape(-1)
-        model = make_model(selection.col_points, weights, values, names=source.names)
         error, argmax = max_error(model, source)
         cascaded = opts.nullspace_method == "cascaded"
         flops = report.cascaded_flops if cascaded else report.full_flops

@@ -178,14 +178,20 @@ class OracleSource(DataSource):
             raise EvaluationError(f"oracle produced a non-finite value at {tuple(point)}")
         return complex(value)
 
+    def _evaluate(self, assignment, shape, where):
+        """The expression on ``assignment`` as a fresh C-ordered array of ``shape``;
+        overflow and invalid values raise :class:`EvaluationError`, unwarned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(expressions.evaluate(self.expression, assignment), dtype=complex)
+        values = np.broadcast_to(values, shape)
+        if not np.all(np.isfinite(values)):
+            raise EvaluationError(f"oracle produced non-finite values {where}")
+        return np.array(values, order="C")
+
     def values_at_indices(self, indices):
         indices = np.asarray(indices)
         assignment = {g.name: g.union_points[indices[:, l]] for l, g in enumerate(self.grids)}
-        values = np.asarray(expressions.evaluate(self.expression, assignment), dtype=complex)
-        values = np.broadcast_to(values, (indices.shape[0],))
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("oracle produced non-finite values at the requested tuples")
-        return np.array(values)
+        return self._evaluate(assignment, (indices.shape[0],), "at the requested tuples")
 
     def values_on_product(self, per_var_points):
         """Sample tensor over the cartesian product of the given point lists.
@@ -205,12 +211,8 @@ class OracleSource(DataSource):
                 assignment[grid.name] = complex(axis[0])
             else:
                 assignment[grid.name] = axis.reshape((1,) * l + (-1,) + (1,) * (n - 1 - l))
-        values = expressions.evaluate(self.expression, assignment)
-        values = np.asarray(values, dtype=complex)
-        values = np.broadcast_to(values, tuple(a.size for a in axes))
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("oracle produced non-finite values on the requested product grid")
-        return np.array(values, order="C")
+        shape = tuple(a.size for a in axes)
+        return self._evaluate(assignment, shape, "on the requested product grid")
 
     def densify(self):
         """Materialize the oracle on its full union grids as a DenseSource."""
@@ -330,6 +332,14 @@ class Selection:
 # --- JSON interchange ---------------------------------------------------
 
 
+def _json_typed(value, kind, what):
+    """``value`` if it is a JSON list (``kind=list``) or object (``dict``); else a GridError."""
+    if not isinstance(value, kind):
+        expected = "list" if kind is list else "object"
+        raise GridError(f"{what} must be a JSON {expected}, got {value!r:.40}")
+    return value
+
+
 def _pairs_to_complex(pairs, what):
     """Complex vector from JSON ``[[re, im], ...]``; ``what`` names the list in errors."""
     if not isinstance(pairs, (list, tuple)):
@@ -352,8 +362,8 @@ def _complex_to_pairs(values):
 
 def _grids_from_json(entries):
     grids = []
-    for entry in entries:
-        name = entry["name"]
+    for l, entry in enumerate(_json_typed(entries, list, "variables")):
+        name = _json_typed(entry, dict, f"variables entry {l}")["name"]
         grids.append(
             VariableGrid(
                 name,
@@ -382,7 +392,7 @@ def source_from_dict(data):
     one with a ``values`` key becomes a :class:`DenseSource` whose flat
     value list is interpreted row-major, variable 0 slowest.
     """
-    grids = _grids_from_json(data["variables"])
+    grids = _grids_from_json(_json_typed(data, dict, "data document")["variables"])
     if "expression" in data:
         expr = expressions.parse(data["expression"], [g.name for g in grids])
         return OracleSource(expr, grids)

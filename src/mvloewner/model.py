@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PoleError
-from .grids import _complex_to_pairs, _pairs_to_complex
+from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
 
 POLE_THRESHOLD = 1e-300
 SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its peak memory)
@@ -238,12 +238,14 @@ def model_to_dict(model):
 
 
 def model_from_dict(data):
-    support = [_pairs_to_complex(p, f"support {l}") for l, p in enumerate(data["support"])]
+    data = _json_typed(data, dict, "model document")
+    support = _json_typed(data["support"], list, "support")
+    support = [_pairs_to_complex(p, f"support {l}") for l, p in enumerate(support)]
     return make_model(
         support,
         _pairs_to_complex(data["c"], "c"),
         _pairs_to_complex(data["w"], "w"),
-        names=data["variables"],
+        names=_json_typed(data["variables"], list, "variables"),
     )
 
 

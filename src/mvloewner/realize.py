@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, MemoryGuardError, PoleError
-from .grids import _complex_to_pairs, _pairs_to_complex
+from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
 from .loewner import (
     BYTES_PER_ENTRY,
     DEFAULT_MEMORY_GUARD,
@@ -274,15 +274,15 @@ def _io_vectors(split, companions, beta):
     return c_vector, b_vector
 
 
-def build_realization(model, split=None):
+def build_realization(model, split="first"):
     """Realization of a barycentric model for a left/right variable split.
 
-    ``split`` defaults to variable 0 alone on the right (the frequency
-    variable), every other variable on the left.
+    ``split`` is a :class:`VariableSplit` or a :func:`resolve_split` spec;
+    the default puts variable 0 (the frequency variable) alone on the
+    right and every other variable on the left.
     """
-    counts = model.counts
-    if split is None:
-        split = make_split((0,), counts)
+    if not isinstance(split, VariableSplit):
+        split = resolve_split(split, model.counts)
     a_lag, b_lag = arrange_coefficients(model, split)
     companions = tuple(
         build_pseudo_companion(points, name)
@@ -401,39 +401,46 @@ def check_r_minimality(realization, sample_points, rel_tol=DEFAULT_RANK_TOL):
 def optimal_split(degrees):
     """Split minimizing the realization dimension m = 2*ell + kappa - 1.
 
-    Searches all nonempty bipartitions up to 16 variables; beyond that a
-    greedy pass assigns variables in decreasing count to whichever side
-    currently yields the smaller objective.  Ties prefer fewer left
-    variables, then the lexicographically first right group.
+    Exact for any number of variables: a walk in index order keeps, per
+    ``(ell, number of left variables)``, the lexicographically first right
+    group reaching it; ``ell`` divides ``prod k``, which bounds the states.
+    Ties prefer fewer left variables, then the first right group.
     """
-    degrees = [int(d) for d in degrees]
-    n = len(degrees)
+    counts = tuple(int(d) + 1 for d in degrees)
+    n = len(counts)
     if n < 2:
         raise GridError("a split needs at least two variables")
-    counts = tuple(d + 1 for d in degrees)
-    if n <= 16:
-        best = None
-        for size in range(1, n):
-            for right in itertools.combinations(range(n), size):
-                split = make_split(right, counts)
-                key = (split.order, len(split.left), right)
-                if best is None or key < best[0]:
-                    best = (key, split)
-        return best[1]
-    order = sorted(range(n), key=lambda i: -counts[i])
-    right, left = [order[0]], []
-    for i in order[1:]:
-        kappa = math.prod(counts[j] for j in right)
-        ell = math.prod(counts[j] for j in left) if left else 1
-        cost_right = 2 * max(ell, 1) + kappa * counts[i] - 1
-        cost_left = 2 * ell * counts[i] + kappa - 1
-        if cost_right <= cost_left:
-            right.append(i)
-        else:
-            left.append(i)
-    if not left:
-        left.append(right.pop())
-    return make_split(tuple(sorted(right)), counts, tuple(sorted(left)))
+    # right groups reaching one state have equal length, so a common
+    # suffix keeps their lexicographic order
+    states = {(1, 0): ()}
+    for i, k in enumerate(counts):
+        reached = {}
+        for (ell, n_left), right in states.items():
+            for state, group in (((ell, n_left), right + (i,)), ((ell * k, n_left + 1), right)):
+                if state not in reached or group < reached[state]:
+                    reached[state] = group
+        states = reached
+    total = math.prod(counts)
+    _, _, right = min(
+        (2 * ell + total // ell - 1, n_left, right)
+        for (ell, n_left), right in states.items()
+        if 0 < n_left < n
+    )
+    return make_split(right, counts)
+
+
+def resolve_split(spec, counts):
+    """The split that ``spec`` names for support counts ``counts``.
+
+    ``spec`` is ``"first"`` (variable 0 alone on the right), ``"auto"``
+    (:func:`optimal_split`, or ``"first"`` with one variable) or a
+    sequence of right variable indices.
+    """
+    if spec == "auto" and len(counts) > 1:
+        return optimal_split([k - 1 for k in counts])
+    if spec in ("first", "auto"):
+        return make_split((0,), counts)
+    return make_split(spec, counts)
 
 
 def polynomial_determinant(coefficients, companions, form, point):
@@ -507,6 +514,7 @@ def realization_to_dict(realization):
 
 
 def _coefficient_block(rows, shape, label):
+    rows = _json_typed(rows, list, label)
     rows = [_pairs_to_complex(row, f"{label} row {i}") for i, row in enumerate(rows)]
     if len(rows) != shape[0] or any(row.size != shape[1] for row in rows):
         raise GridError(f"{label} must be {shape[0]}x{shape[1]}")
@@ -521,21 +529,25 @@ def realization_from_dict(data):
     :func:`build_realization` to a relative 1e-12, so that evaluation's
     block elimination holds for every file accepted.
     """
-    names = [str(n) for n in data["variables"]]
+    data = _json_typed(data, dict, "realization document")
+    names = [str(n) for n in _json_typed(data["variables"], list, "variables")]
+    entries = _json_typed(data["companions"], list, "companions")
+    entries = [_json_typed(e, dict, f"companions entry {l}") for l, e in enumerate(entries)]
     companions = tuple(
         PseudoCompanion(
             entry["name"],
             _pairs_to_complex(entry["points"], f"points of companion {entry['name']!r}"),
             _pairs_to_complex(entry["q"], f"q of companion {entry['name']!r}"),
         )
-        for entry in data["companions"]
+        for entry in entries
     )
     for comp in companions:
         if np.unique(comp.points).size != comp.size or comp.q_weights.size != comp.size:
             raise GridError(f"companion {comp.name!r} needs distinct points and one weight each")
     counts = tuple(comp.size for comp in companions)
-    right = tuple(names.index(n) for n in data["split"]["right"])
-    left = tuple(names.index(n) for n in data["split"]["left"])
+    split_doc = _json_typed(data["split"], dict, "split")
+    right = tuple(names.index(n) for n in _json_typed(split_doc["right"], list, "split right"))
+    left = tuple(names.index(n) for n in _json_typed(split_doc["left"], list, "split left"))
     split = VariableSplit(right, left, counts)
     rows = split.ell if split.left else 0
     a_lag = _coefficient_block(data["A_lag"], (split.ell, split.kappa), "A_lag")
@@ -558,11 +570,6 @@ def realization_from_dict(data):
         c_vector=c_vector,
         b_vector=b_vector,
     )
-
-
-def save_realization(realization, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(realization_to_dict(realization), fh, indent=1)
 
 
 def load_realization(path):

@@ -168,6 +168,9 @@ def test_realize_splits_and_dimensions(oracle_3d_file, tmp_path, capsys):
 
     assert main(["realize", "--model", str(model_path), "--split", "auto", "--out", str(real_path)]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 9
+    # written like every other output file: atomically, newline-terminated
+    assert real_path.read_text().endswith("}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "oracle3d.json", "real.json"]
 
 
 def test_verify_passes_on_consistent_artifacts(tmp_path, source_2d, capsys):
@@ -367,3 +370,62 @@ def test_malformed_pairs_in_model_and_realization_files_are_input_errors(tmp_pat
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, edit, named",
+    [
+        ("model", lambda doc: [doc], "model document must be a JSON object"),
+        ("model", lambda doc: {**doc, "support": 5}, "support must be a JSON list"),
+        ("model", lambda doc: {**doc, "variables": 5}, "variables must be a JSON list"),
+        ("realization", lambda doc: {**doc, "companions": 5}, "companions must be a JSON list"),
+        (
+            "realization",
+            lambda doc: {**doc, "companions": [5, *doc["companions"][1:]]},
+            "companions entry 0 must be a JSON object",
+        ),
+        ("realization", lambda doc: {**doc, "A_lag": 5}, "A_lag must be a JSON list"),
+        ("realization", lambda doc: {**doc, "B_lag": 5}, "B_lag must be a JSON list"),
+        ("realization", lambda doc: {**doc, "split": 5}, "split must be a JSON object"),
+        ("data", lambda doc: {**doc, "variables": 5}, "variables must be a JSON list"),
+        (
+            "data",
+            lambda doc: {**doc, "variables": [5, *doc["variables"][1:]]},
+            "variables entry 0 must be a JSON object",
+        ),
+    ],
+)
+def test_json_containers_of_the_wrong_type_are_input_errors(tmp_path, source_2d, capsys, kind, edit, named):
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("data", "model", "realization")}
+    paths["data"].write_text(json.dumps(source_to_dict(source_2d.densify())))
+    main(["fit", "--data", str(paths["data"]), "--degrees", "2,1", "--out", str(paths["model"])])
+    main(["realize", "--model", str(paths["model"]), "--split", "s|t", "--out", str(paths["realization"])])
+    capsys.readouterr()
+
+    paths[kind].write_text(json.dumps(edit(json.loads(paths[kind].read_text()))))
+    argv = {
+        "data": ["order-detect", "--data", str(paths["data"])],
+        "model": ["eval", "--model", str(paths["model"]), "--point", "1,-1"],
+        "realization": [
+            "verify", "--model", str(paths["model"]), "--data", str(paths["data"]),
+            "--realization", str(paths["realization"]),
+        ],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_overflow_in_the_oracle_is_an_input_error(tmp_path, capsys):
+    doc = {
+        "variables": [
+            {"name": "s", "lambda": [[1, 0], [2, 0], [3, 0]], "mu": [[4, 0], [5, 0], [1e200, 0]]},
+            {"name": "t", "lambda": [[1, 0], [2, 0]], "mu": [[3, 0], [4, 0]]},
+        ],
+        "expression": "s^3*t",
+    }
+    path = _write_json(tmp_path / "overflow.json", doc)
+    assert main(["order-detect", "--data", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err

@@ -31,6 +31,14 @@ def test_fit_direct_recovers_2d_example(source_2d):
     assert error <= 1e-11
 
 
+def test_fit_direct_realizes_the_requested_split(source_3d):
+    orders = {}
+    for split in ("first", "auto", (2,)):
+        result = fit_direct(source_3d, FitOptions(degrees=(1, 1, 2), split=split))
+        orders[split] = result.realization.order
+    assert orders == {"first": 13, "auto": 9, (2,): 10}
+
+
 def test_fit_direct_detects_orders(source_synth2d):
     result = fit_direct(source_synth2d, FitOptions(nullspace_method="full"))
     assert result.degrees == (4, 3)

@@ -154,6 +154,17 @@ def test_scalar_power_overflow_is_an_evaluation_error():
         evaluate(source.expression, {"x": 1e200, "y": 1.0})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", ["x^3*y", "x*x*y"])
+def test_array_overflow_is_an_evaluation_error_without_a_warning(text):
+    grids = [VariableGrid("x", [1e200, 2.0]), VariableGrid("y", [1.0, 3.0])]
+    source = OracleSource(parse(text, ["x", "y"]), grids)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        source.values_on_product([[1e200, 2.0], [1.0, 3.0]])
+    with pytest.raises(EvaluationError, match="non-finite"):
+        source.values_at_indices(np.array([[1, 0], [0, 1]]))
+
+
 def test_scalar_division_rounds_as_numpy_divides():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)

@@ -30,6 +30,7 @@ from mvloewner import (
     polynomial_determinant,
     realization_from_dict,
     realization_to_dict,
+    resolve_split,
 )
 from mvloewner.realize import LOG_PRODUCT_CUTOFF, lagrange_inverse_weights
 from conftest import C2_EXPECTED
@@ -529,7 +530,52 @@ def test_optimal_split_large_n_heuristic():
     degrees = [2, 1] * 9  # 18 variables
     split = optimal_split(degrees)
     assert sorted(split.right + split.left) == list(range(18))
-    assert split.order >= 1
+    # ell = 3**a * 2**b for a left group of a threes and b twos; both groups nonempty
+    total = 3**9 * 2**9
+    exact = min(
+        2 * 3**a * 2**b + total // (3**a * 2**b) - 1
+        for a in range(10)
+        for b in range(10)
+        if (a, b) not in ((0, 0), (9, 9))
+    )
+    assert split.order == exact == 8981
+
+
+def _exhaustive_split(degrees):
+    """Every nonempty bipartition, keyed as optimal_split breaks ties: the reference."""
+    counts = tuple(d + 1 for d in degrees)
+    n = len(counts)
+    best = None
+    for size in range(1, n):
+        for right in itertools.combinations(range(n), size):
+            split = make_split(right, counts)
+            key = (split.order, len(split.left), right)
+            if best is None or key < best[0]:
+                best = (key, split)
+    return best[1]
+
+
+@pytest.mark.parametrize("n", [*range(2, 11), 12])
+def test_optimal_split_equals_exhaustive_search(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n == 12 else 20):
+        degrees = rng.integers(0, 5, size=n).tolist()
+        split, reference = optimal_split(degrees), _exhaustive_split(degrees)
+        assert (split.right, split.left) == (reference.right, reference.left), degrees
+
+
+def test_resolve_split_policies(source_3d):
+    assert resolve_split("first", (2, 2, 3)).right == (0,)
+    assert resolve_split("auto", (2, 2, 3)).right == optimal_split([1, 1, 2]).right == (0, 1)
+    assert resolve_split((2,), (2, 2, 3)).left == (0, 1)
+    for spec in ("first", "auto"):
+        assert (resolve_split(spec, (4,)).right, resolve_split(spec, (4,)).left) == ((0,), ())
+    with pytest.raises(GridError):
+        resolve_split((0, 1, 2), (2, 2, 3))
+    model = _model_from_source(source_3d)
+    assert build_realization(model).order == 13
+    assert build_realization(model, "auto").order == 9
+    assert build_realization(model, (2,)).order == 10
 
 
 # --- memory guard ----------------------------------------------------------
