@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNullspaceError, GridError
-from .grids import Selection
+from .grids import Selection, _check_degrees
 from .loewner import BYTES_PER_ENTRY, DEFAULT_RANK_TOL, build_loewner_1d, nullspace_vector
 
 _MAX_REANCHOR_PASSES = 8
@@ -123,9 +123,20 @@ class FlopReport:
         }
 
 
+def resolve_order(spec, counts):
+    """Recursion order: :func:`optimal_variable_order` for ``"auto"`` or ``None``, else
+    ``spec`` itself, which must be a permutation of the variable indices."""
+    if spec is None or isinstance(spec, str) and spec == "auto":
+        return optimal_variable_order(counts)
+    order = () if isinstance(spec, str) else tuple(int(i) for i in spec)
+    if sorted(order) != list(range(len(counts))):
+        raise ValueError(f"order {spec!r} is not 'auto' or a permutation of 0..{len(counts) - 1}")
+    return order
+
+
 def make_flop_report(counts, order):
-    """Accounting for support counts given in original variable order."""
-    order = tuple(int(i) for i in order)
+    """Accounting for support counts in original variable order; ``order`` as in :func:`resolve_order`."""
+    order = resolve_order(order, counts)
     ordered = [counts[i] for i in order]
     return FlopReport(
         cascaded_flops=flop_cascade(ordered),
@@ -210,8 +221,8 @@ def cascaded_nullspace(
     selection : Selection, optional
         Explicit per-variable column/row points.
     order : sequence of int, optional
-        Recursion order over variable indices; defaults to descending
-        support count (the flop-optimal order).
+        Recursion order (a :func:`resolve_order` spec); defaults to
+        descending support count (the flop-optimal order).
     rel_tol : float
         Rank tolerance for the 1-D null spaces.  Each variable is first
         anchored at its last column point; a variable whose anchor weight
@@ -234,15 +245,10 @@ def cascaded_nullspace(
     if selection is None:
         if degrees is None:
             raise ValueError("need either degrees or an explicit selection")
-        selection = Selection.spread_columns(source, [d + 1 for d in degrees])
+        counts = [d + 1 for d in _check_degrees(source, degrees)]
+        selection = Selection.spread_columns(source, counts)
     counts = selection.counts
-    n = len(counts)
-    if order is None:
-        order = optimal_variable_order(counts)
-    else:
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"order {order!r} is not a permutation of 0..{n - 1}")
+    order = resolve_order(order, counts)
     selection = selection.nearest_rows()
 
     anchors = [k - 1 for k in counts]

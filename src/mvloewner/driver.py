@@ -15,9 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .cascade import cascaded_nullspace, make_flop_report, optimal_variable_order
+from .cascade import cascaded_nullspace, make_flop_report, resolve_order
 from .errors import DegenerateNullspaceError, GridError, NotConvergedError
-from .grids import Selection, check_disjoint
+from .grids import Selection, _check_degrees, check_disjoint
 from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error
 from .realize import build_realization
@@ -29,7 +29,7 @@ class FitOptions:
     and ``split`` are read only by :func:`fit_direct`."""
 
     nullspace_method: str = "cascaded"  # "cascaded" | "full"
-    variable_order: object = "auto"  # "auto" or explicit index sequence
+    variable_order: object = "auto"  # a cascade.resolve_order spec
     rel_tol: float = DEFAULT_RANK_TOL
     degrees: tuple | None = None
     order_sample_budget: int = 10
@@ -93,12 +93,6 @@ def _require_disjoint(source):
         raise GridError(f"interpolation points are not disjoint: {listing}")
 
 
-def _resolve_order(opts, counts):
-    if opts.variable_order == "auto" or opts.variable_order is None:
-        return optimal_variable_order(counts)
-    return tuple(int(i) for i in opts.variable_order)
-
-
 def _fit_selection(source, selection, opts):
     """Model on a selection by the configured method, and its flop report.
 
@@ -106,7 +100,7 @@ def _fit_selection(source, selection, opts):
     last entry (full SVD).
     """
     counts = selection.counts
-    order = _resolve_order(opts, counts)
+    order = resolve_order(opts.variable_order, counts)
     if opts.nullspace_method == "cascaded":
         result = cascaded_nullspace(
             source, selection=selection, order=order, rel_tol=opts.rel_tol
@@ -131,7 +125,7 @@ def fit_direct(source, opts=None):
     opts = opts or FitOptions()
     _require_disjoint(source)
     if opts.degrees is not None:
-        degrees = tuple(int(d) for d in opts.degrees)
+        degrees = _check_degrees(source, opts.degrees)
     else:
         estimate = detect_orders(
             source, opts.order_sample_budget, opts.rel_tol, opts.seed

@@ -233,6 +233,14 @@ def check_disjoint(source):
     return violations
 
 
+def _check_degrees(source, degrees):
+    """``degrees`` as a tuple of ints, one per variable of ``source``, else a GridError."""
+    degrees = tuple(int(d) for d in degrees)
+    if len(degrees) != source.n_vars:
+        raise GridError(f"{len(degrees)} degrees given for {source.n_vars} variables")
+    return degrees
+
+
 @dataclass(frozen=True, eq=False)
 class Selection:
     """Per-variable choice of column (support) and row points."""
@@ -333,15 +341,15 @@ class Selection:
 
 
 def _json_typed(value, kind, what):
-    """``value`` if it is a JSON list (``kind=list``) or object (``dict``); else a GridError."""
+    """``value`` if it has the JSON type ``kind`` (list, dict or str); else a GridError."""
     if not isinstance(value, kind):
-        expected = "list" if kind is list else "object"
+        expected = {list: "list", dict: "object", str: "string"}[kind]
         raise GridError(f"{what} must be a JSON {expected}, got {value!r:.40}")
     return value
 
 
 def _pairs_to_complex(pairs, what):
-    """Complex vector from JSON ``[[re, im], ...]``; ``what`` names the list in errors."""
+    """Finite complex vector from JSON ``[[re, im], ...]``; ``what`` names the list in errors."""
     if not isinstance(pairs, (list, tuple)):
         raise GridError(f"{what} must be a list of [real, imaginary] pairs, got {pairs!r}")
     values = []
@@ -353,7 +361,11 @@ def _pairs_to_complex(pairs, what):
             raise GridError(
                 f"{what} entry {i} is not a [real, imaginary] pair of numbers: {pair!r}"
             ) from None
-    return np.asarray(values, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise GridError(f"{what} entry {bad[0]} is not finite: {pairs[bad[0]]!r}")
+    return values
 
 
 def _complex_to_pairs(values):
@@ -394,8 +406,8 @@ def source_from_dict(data):
     """
     grids = _grids_from_json(_json_typed(data, dict, "data document")["variables"])
     if "expression" in data:
-        expr = expressions.parse(data["expression"], [g.name for g in grids])
-        return OracleSource(expr, grids)
+        text = _json_typed(data["expression"], str, "expression")
+        return OracleSource(expressions.parse(text, [g.name for g in grids]), grids)
     if "values" not in data:
         raise GridError("data file needs either an 'expression' or a 'values' entry")
     flat = _pairs_to_complex(data["values"], "values")

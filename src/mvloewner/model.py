@@ -66,8 +66,8 @@ def make_model(support, c, w, names=None):
     """
     support = tuple(np.asarray(p, dtype=complex) for p in support)
     for l, points in enumerate(support):
-        if np.unique(points).size != points.size:
-            raise GridError(f"support points of variable {l} are not distinct")
+        if points.size == 0 or np.unique(points).size != points.size:
+            raise GridError(f"support points of variable {l} are empty or not distinct")
     c = np.asarray(c, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     total = math.prod(p.size for p in support)
@@ -102,9 +102,11 @@ def _factor_matrix(support, coordinates):
 
 
 def _quotient(denominator, numerator):
-    poles = np.abs(denominator) < POLE_THRESHOLD
+    """``numerator / denominator``, ``inf`` where ``|denominator| < POLE_THRESHOLD``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return numerator / denominator, poles
+        values = numerator / denominator
+    values[np.abs(denominator) < POLE_THRESHOLD] = np.inf
+    return values
 
 
 def _point_factors(supports, points):
@@ -128,30 +130,54 @@ def _contract_points(weights, factors):
     return tensor.reshape(count, 2)
 
 
-def eval_model(model, point):
-    """Evaluate the model at a point (any complex coordinates).
+def _as_points(points, n_vars):
+    """``points`` as one point ``(n,)`` or a batch ``(P, n)`` of complex coordinates."""
+    array = np.asarray(points, dtype=complex)
+    if array.ndim not in (1, 2) or array.shape[-1] != n_vars:
+        raise GridError(f"expected {n_vars} coordinates or a (P, {n_vars}) array, got {array.shape}")
+    return array
+
+
+def _eval_points(weights, supports, points):
+    """Quotient of ``weights`` over ``supports`` at ``(P, n)`` points; ``inf`` at poles.
+
+    Chunked so that no intermediate holds more than about ``SWEEP_CHUNK_BYTES``.
+    """
+    # each point's intermediate holds 2 * K / k_last complex sums
+    chunk = max(1, SWEEP_CHUNK_BYTES // (weights.nbytes // supports[-1].size))
+    sums = np.empty((points.shape[0], 2), dtype=complex)
+    for start in range(0, points.shape[0], chunk):
+        factors = _point_factors(supports, points[start : start + chunk])
+        sums[start : start + chunk] = _contract_points(weights, factors)
+    return _quotient(sums[:, 0], sums[:, 1])
+
+
+def eval_model(model, points):
+    """Evaluate the model at one point or at a ``(P, n)`` batch of points.
+
+    One point (a length-``n`` sequence) returns a complex number; a ``(P, n)``
+    array returns a ``(P,)`` array, ``inf`` where ``|denominator| < POLE_THRESHOLD``.
 
     Raises
     ------
     PoleError
-        If the barycentric denominator vanishes at an off-support point.
+        If the barycentric denominator vanishes at a single point.
     """
-    if len(point) != model.n_vars:
-        raise GridError(f"expected {model.n_vars} coordinates, got {len(point)}")
-    row = np.asarray(point, dtype=complex).reshape(1, -1)
-    factors = _point_factors(model.support_points, row)
+    array = _as_points(points, model.n_vars)
+    if array.ndim == 2:
+        return _eval_points(model.weights, model.support_points, array)
+    factors = _point_factors(model.support_points, array.reshape(1, -1))
     denominator, numerator = _contract_points(model.weights, factors)[0].tolist()
     if abs(denominator) < POLE_THRESHOLD:
-        raise PoleError(f"barycentric denominator vanishes at {tuple(point)}")
+        raise PoleError(f"barycentric denominator vanishes at {tuple(points)}")
     return numerator / denominator
 
 
 def _eval_on_grid(model, per_var_points):
     """Model values on the product of per-variable coordinate vectors.
 
-    Returns ``(values, poles)``, both shaped ``tuple(len(p) for p in
-    per_var_points)`` with variable 0 slowest; ``poles`` marks where the
-    denominator vanishes (the value there is meaningless).  The weight
+    Values are shaped ``tuple(len(p) for p in per_var_points)`` with
+    variable 0 slowest, ``inf`` where the denominator vanishes.  The weight
     tensor is contracted with one factor matrix per variable (a mode
     product), last variable first; values agree with :func:`eval_model`
     up to rounding.
@@ -166,35 +192,15 @@ def _eval_on_grid(model, per_var_points):
         tensor = tensor.reshape(2, swept, remaining, -1).transpose(0, 3, 1, 2)
         swept *= factor.shape[0]
     tensor = tensor.reshape(2, -1)
-    values, poles = _quotient(tensor[0], tensor[1])
-    shape = tuple(f.shape[0] for f in factors)
-    return values.reshape(shape), poles.reshape(shape)
+    return _quotient(tensor[0], tensor[1]).reshape(tuple(f.shape[0] for f in factors))
 
 
-def _eval_at_points(model, points):
-    """Model values at scattered ``(P, n)`` points, as ``(values, poles)``.
-
-    Points are processed in chunks so that no intermediate holds more
-    than about ``SWEEP_CHUNK_BYTES``.
-    """
-    points = np.asarray(points, dtype=complex).reshape(-1, model.n_vars)
-    # each point's intermediate holds 2 * K / k_last complex sums
-    chunk = max(1, SWEEP_CHUNK_BYTES // (model.weights.nbytes // model.counts[-1]))
-    sums = np.empty((points.shape[0], 2), dtype=complex)
-    for start in range(0, points.shape[0], chunk):
-        factors = _point_factors(model.support_points, points[start : start + chunk])
-        sums[start : start + chunk] = _contract_points(model.weights, factors)
-    return _quotient(sums[:, 0], sums[:, 1])
-
-
-def _first_worst(mismatch, poles):
+def _first_worst(mismatch):
     """Flat index and value of the first largest mismatch.
 
-    A pole counts as an infinite mismatch, and NaN never wins, as in a
-    running ``mismatch > best`` comparison.
+    NaN never wins, as in a running ``mismatch > best`` comparison.
     """
-    mismatch = np.where(poles, np.inf, mismatch)
-    mismatch[np.isnan(mismatch)] = -np.inf
+    mismatch = np.where(np.isnan(mismatch), -np.inf, mismatch)
     index = int(np.argmax(mismatch))
     return index, float(mismatch[index])
 
@@ -215,9 +221,8 @@ def max_error(model, source):
     best_point = None
     for start in range(0, pools[0].size, slab):
         block = [pools[0][start : start + slab], *pools[1:]]
-        values, poles = _eval_on_grid(model, block)
-        mismatch = np.abs(values - source.values_on_product(block)).reshape(-1)
-        index, worst = _first_worst(mismatch, poles.reshape(-1))
+        values = _eval_on_grid(model, block)
+        index, worst = _first_worst(np.abs(values - source.values_on_product(block)).reshape(-1))
         if worst > best:
             best = worst
             idx = np.unravel_index(index, values.shape)

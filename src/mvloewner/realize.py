@@ -48,7 +48,7 @@ from .loewner import (
     _kron_of,
     numerical_rank,
 )
-from .model import POLE_THRESHOLD, _contract_points, _factor_matrix
+from .model import POLE_THRESHOLD, _as_points, _contract_points, _eval_points, _factor_matrix
 
 LOG_PRODUCT_CUTOFF = 300
 
@@ -300,8 +300,8 @@ def build_realization(model, split="first"):
     )
 
 
-def eval_realization(realization, point):
-    """Evaluate ``C Phi(point)^{-1} B`` without forming ``Phi``.
+def eval_realization(realization, points):
+    """Evaluate ``C Phi(x)^{-1} B`` at one point or a ``(P, n)`` batch, without ``Phi``.
 
     The first block row of ``Phi x = B`` forces ``x_1`` onto ``g``, and
     ``y`` annihilates ``Delta(1:ell-1,:)^T``, which leaves ``H = y^T B_lag
@@ -311,19 +311,24 @@ def eval_realization(realization, point):
     stand in for the companions' last inverse columns, contracted with
     ``realization.weights`` by the model's point kernel.
 
+    A batch is ``inf`` where one point raises, as for :func:`~mvloewner.model.eval_model`.
+
     Raises
     ------
     PoleError
-        If the denominator vanishes at ``point``.
+        If the denominator vanishes at a single point.
     """
-    values = realization._point_map(point)
-    factors = [
-        _factor_matrix(realization.companions[i].points, values[i])
-        for i in realization.split.left + realization.split.right
-    ]
+    companions = realization.companions
+    axes = realization.split.left + realization.split.right
+    array = _as_points(points, len(companions))
+    if array.ndim == 2:
+        supports = [companions[i].points for i in axes]
+        return _eval_points(realization.weights, supports, array[:, axes])
+    values = array.tolist()
+    factors = [_factor_matrix(companions[i].points, values[i]) for i in axes]
     denominator, numerator = _contract_points(realization.weights, factors)[0].tolist()
     if abs(denominator) < POLE_THRESHOLD:
-        raise PoleError(f"realization denominator vanishes at {tuple(point)}")
+        raise PoleError(f"realization denominator vanishes at {tuple(points)}")
     return numerator / denominator
 
 
@@ -542,8 +547,11 @@ def realization_from_dict(data):
         for entry in entries
     )
     for comp in companions:
-        if np.unique(comp.points).size != comp.size or comp.q_weights.size != comp.size:
-            raise GridError(f"companion {comp.name!r} needs distinct points and one weight each")
+        distinct = comp.size > 0 and np.unique(comp.points).size == comp.size
+        if not distinct or comp.q_weights.size != comp.size:
+            raise GridError(
+                f"companion {comp.name!r} needs distinct points, at least one, and one weight each"
+            )
     counts = tuple(comp.size for comp in companions)
     split_doc = _json_typed(data["split"], dict, "split")
     right = tuple(names.index(n) for n in _json_typed(split_doc["right"], list, "split right"))

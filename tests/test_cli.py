@@ -26,6 +26,11 @@ def oracle_3d_file(tmp_path, source_3d):
 
 
 @pytest.fixture()
+def oracle_2d_file(tmp_path, source_2d):
+    return _write_json(tmp_path / "oracle2d.json", source_to_dict(source_2d))
+
+
+@pytest.fixture()
 def data_1d_file(tmp_path, source_1d):
     return _write_json(tmp_path / "data1d.json", source_to_dict(source_1d.densify()))
 
@@ -88,6 +93,29 @@ def test_fit_cascade_order_flops(oracle_3d_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["flops"] == 99
     assert report["degrees"] == [1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fit", "--method", "full", "--order", "1,1"], "permutation"),
+        (["fit", "--order", "0,1"], "permutation"),
+        (["fit", "--order", "1"], "permutation"),
+        (["flops", "--degrees", "1,2", "--order", "5,1"], "permutation"),
+        (["flops", "--degrees", "1,2", "--order", "1"], "permutation"),
+        (["fit", "--degrees", "2,1,5"], "3 degrees given for 2 variables"),
+        (["fit", "--degrees", "1"], "1 degrees given for 2 variables"),
+        (["fit", "--method", "full", "--degrees", "1"], "1 degrees given for 2 variables"),
+    ],
+)
+def test_bad_order_or_degree_count_is_an_input_error(oracle_2d_file, tmp_path, capsys, argv, named):
+    if argv[0] == "fit":
+        argv = [*argv, "--oracle", oracle_2d_file, "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_fit_clamps_oversized_degrees(data_1d_file, tmp_path, capsys):
@@ -378,6 +406,11 @@ def test_malformed_pairs_in_model_and_realization_files_are_input_errors(tmp_pat
         ("model", lambda doc: [doc], "model document must be a JSON object"),
         ("model", lambda doc: {**doc, "support": 5}, "support must be a JSON list"),
         ("model", lambda doc: {**doc, "variables": 5}, "variables must be a JSON list"),
+        (
+            "model",
+            lambda doc: {**doc, "support": [doc["support"][0], []], "c": [], "w": []},
+            "support points of variable 1 are empty",
+        ),
         ("realization", lambda doc: {**doc, "companions": 5}, "companions must be a JSON list"),
         (
             "realization",
@@ -387,7 +420,13 @@ def test_malformed_pairs_in_model_and_realization_files_are_input_errors(tmp_pat
         ("realization", lambda doc: {**doc, "A_lag": 5}, "A_lag must be a JSON list"),
         ("realization", lambda doc: {**doc, "B_lag": 5}, "B_lag must be a JSON list"),
         ("realization", lambda doc: {**doc, "split": 5}, "split must be a JSON object"),
+        (
+            "realization",
+            lambda doc: {**doc, "companions": [doc["companions"][0], {"name": "t", "points": [], "q": []}]},
+            "companion 't' needs distinct points, at least one",
+        ),
         ("data", lambda doc: {**doc, "variables": 5}, "variables must be a JSON list"),
+        ("data", lambda doc: {**doc, "expression": 5}, "expression must be a JSON string"),
         (
             "data",
             lambda doc: {**doc, "variables": [5, *doc["variables"][1:]]},

@@ -11,9 +11,11 @@ from mvloewner import (
     OracleSource,
     Tableau,
     VariableGrid,
+    cascaded_nullspace,
     eval_model,
     fit_adaptive,
     fit_direct,
+    make_flop_report,
     max_error,
     parse,
 )
@@ -176,3 +178,22 @@ def test_fit_options_validation():
         FitOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         fit_adaptive(None, -1.0)
+
+
+@pytest.mark.parametrize("degrees", [(2, 1, 5), (1,)])
+def test_degree_count_must_match_the_variables(source_2d, degrees):
+    named = f"{len(degrees)} degrees given for 2 variables"
+    for method in ("cascaded", "full"):
+        with pytest.raises(GridError, match=named):
+            fit_direct(source_2d, FitOptions(nullspace_method=method, degrees=degrees))
+    with pytest.raises(GridError, match=named):
+        cascaded_nullspace(source_2d, degrees=degrees)
+
+
+@pytest.mark.parametrize("order", [(1, 1), (0,), (-1, 0), (0, 2), "s,t"])
+def test_every_route_refuses_an_order_that_is_not_a_permutation(source_2d, order):
+    for method in ("cascaded", "full"):
+        with pytest.raises(ValueError, match="permutation"):
+            fit_direct(source_2d, FitOptions(nullspace_method=method, variable_order=order))
+    with pytest.raises(ValueError, match="permutation"):
+        make_flop_report([3, 2], order)

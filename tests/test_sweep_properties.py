@@ -26,8 +26,11 @@ from mvloewner import (
     PoleError,
     Tableau,
     VariableGrid,
+    build_realization,
     eval_model,
+    eval_realization,
     make_model,
+    make_split,
     max_error,
     model_to_dict,
     parse,
@@ -35,7 +38,7 @@ from mvloewner import (
 )
 from mvloewner import model as model_module
 from mvloewner.cli import main
-from mvloewner.model import POLE_THRESHOLD, _eval_at_points, _factor_matrix
+from mvloewner.model import POLE_THRESHOLD, _factor_matrix
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -187,8 +190,8 @@ def test_max_error_reports_pole_where_loop_does(case, seed):
     batched = max_error(pole_model, pole_source)
     assert batched[0] == math.inf
     _assert_same_sweep(batched, loop_max_error(pole_model, pole_source))
-    _, poles = _eval_at_points(pole_model, [[*batched[1][:-1], 1.0], [*batched[1][:-1], -0.5]])
-    assert poles.tolist() == [True, False]
+    values = eval_model(pole_model, [[*batched[1][:-1], 1.0], [*batched[1][:-1], -0.5]])
+    assert np.isinf(values).tolist() == [True, False]
 
 
 def _scattered_points(model, rng, count):
@@ -204,7 +207,7 @@ def _scattered_points(model, rng, count):
 @SETTINGS
 @given(models_on_grids(), st.integers(0, 2**32 - 1), CHUNK_BYTES)
 def test_eval_at_points_matches_eval_model(case, seed, chunk_bytes):
-    """``eval_model`` and ``_eval_at_points`` against the scalar reference.
+    """One-point and batched ``eval_model`` against the scalar reference.
 
     Points mix support coordinates with off-grid ones; the pole model adds
     exact poles wherever the last coordinate is 1.
@@ -216,8 +219,8 @@ def test_eval_at_points_matches_eval_model(case, seed, chunk_bytes):
         if model is pole_model:
             points[::2, -1] = 1.0
         with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
-            values, poles = _eval_at_points(model, points)
-        for point, value, pole in zip(points, values, poles):
+            values = eval_model(model, points)
+        for point, value, pole in zip(points, values, np.isinf(values)):
             try:
                 expected = reference_eval(model, point)
             except PoleError:
@@ -229,6 +232,51 @@ def test_eval_at_points_matches_eval_model(case, seed, chunk_bytes):
             scalar = eval_model(model, tuple(point))
             for got in (value, scalar):
                 assert abs(got - expected) <= ABS_TOL + REL_TOL * abs(expected)
+
+
+def _every_split(counts):
+    """Each ordered right group with the rest, in every order, as left group."""
+    n = len(counts)
+    if n == 1:
+        return [make_split((0,), counts)]
+    return [
+        make_split(perm[:cut], counts, perm[cut:])
+        for perm in itertools.permutations(range(n))
+        for cut in range(1, n)
+    ]
+
+
+@SETTINGS
+@given(models_on_grids(), st.integers(0, 2**32 - 1), CHUNK_BYTES)
+def test_batched_eval_realization_matches_one_point_calls(case, seed, chunk_bytes):
+    """Batched ``eval_realization`` against its one-point calls and ``eval_model``.
+
+    Every split of the variables, in every order, is realized; points mix
+    support coordinates with off-grid ones, and the pole model adds exact
+    poles wherever the last coordinate is 1.  A batched entry is ``inf``
+    exactly where the one-point call raises :class:`PoleError`.
+    """
+    rng = np.random.default_rng(seed)
+    pole_model, _ = _pole_case(*case, rng)
+    for model in (case[0], pole_model):
+        points = _scattered_points(model, rng, 30)
+        if model is pole_model:
+            points[::2, -1] = 1.0
+        realizations = [build_realization(model, split) for split in _every_split(model.counts)]
+        with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
+            expected = eval_model(model, points)
+            batches = [eval_realization(realization, points) for realization in realizations]
+        for realization, values in zip(realizations, batches):
+            assert values.shape == (len(points),)
+            for point, value, reference in zip(points, values, expected):
+                try:
+                    scalar = eval_realization(realization, tuple(point))
+                except PoleError:
+                    assert np.isinf(value) and np.isinf(reference)
+                    continue
+                assert not np.isinf(value)
+                assert abs(value - scalar) <= ABS_TOL + REL_TOL * abs(scalar)
+                assert abs(value - reference) <= ABS_TOL + REL_TOL * abs(reference)
 
 
 @SETTINGS
