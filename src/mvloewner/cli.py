@@ -22,7 +22,7 @@ from . import __version__
 from .cascade import make_flop_report
 from .driver import FitOptions, fit_adaptive, fit_direct
 from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError
-from .grids import Selection, load_source
+from .grids import Selection, _complex_to_pairs, load_source
 from .loewner import build_loewner_nd, build_sylvester_operands, detect_orders, sylvester_residual
 from .model import _eval_on_grid, _first_worst, eval_model, load_model, max_error, model_to_dict
 from .realize import (
@@ -167,7 +167,11 @@ def cmd_fit_adaptive(args):
 def cmd_eval(args):
     model = load_model(args.model)
     point = _parse_point(args.point)
-    value = eval_model(model, point)
+    with np.errstate(all="ignore"):  # an overflow is reported as a non-finite value
+        value = eval_model(model, point)
+    if not np.isfinite(value):
+        print(f"error: the model value {format_complex(value)} is not finite", file=sys.stderr)
+        return EXIT_DEGENERATE
     print(format_complex(value))
     return EXIT_OK
 
@@ -237,7 +241,7 @@ def cmd_verify(args):
     )
     checks["sweep"] = {
         "max_error": float(error),
-        "argmax": [[float(v.real), float(v.imag)] for v in location],
+        "argmax": _complex_to_pairs(location),
         "sampled": bool(total_tuples > 100_000),
         "ok": bool(np.isfinite(error) and error <= args.tol * scale),
     }

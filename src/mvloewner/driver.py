@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .cascade import cascaded_nullspace, make_flop_report, resolve_order
 from .errors import DegenerateNullspaceError, GridError, NotConvergedError
-from .grids import Selection, _check_degrees, check_disjoint
+from .grids import Selection, _check_degrees, _complex_to_pairs, check_disjoint
 from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error
 from .realize import build_realization
@@ -75,11 +75,11 @@ class AdaptiveLog:
             "converged": self.converged,
             "iterations": [
                 {
-                    "added": {k: [v.real, v.imag] for k, v in it.added.items()},
+                    "added": dict(zip(it.added, _complex_to_pairs(list(it.added.values())))),
                     "k": list(it.counts),
                     "flops": it.flops,
                     "max_error": it.max_error,
-                    "argmax": [[v.real, v.imag] for v in it.argmax],
+                    "argmax": _complex_to_pairs(it.argmax),
                 }
                 for it in self.iterations
             ],

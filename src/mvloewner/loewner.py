@@ -90,11 +90,14 @@ def _kron_of(vectors_or_matrices):
     return functools.reduce(np.kron, vectors_or_matrices)
 
 
-def estimate_dense_bytes(selection):
-    """Bytes needed by the dense Loewner matrix of a selection."""
-    k_total = int(np.prod(selection.counts))
-    q_total = int(np.prod(selection.row_counts))
-    return BYTES_PER_ENTRY * k_total * q_total
+def _guard_dense(rows, cols, memory_guard=DEFAULT_MEMORY_GUARD):
+    """Refuse a dense ``rows``-by-``cols`` complex matrix past ``memory_guard`` bytes.
+
+    ``None`` disables the guard.  The refusal carries the estimate.
+    """
+    estimate = BYTES_PER_ENTRY * rows * cols
+    if memory_guard is not None and estimate > memory_guard:
+        raise MemoryGuardError(estimate, memory_guard)
 
 
 def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
@@ -111,9 +114,7 @@ def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
     """
     if selection is None:
         selection = Selection.full(source)
-    estimate = estimate_dense_bytes(selection)
-    if memory_guard is not None and estimate > memory_guard:
-        raise MemoryGuardError(estimate, memory_guard)
+    _guard_dense(math.prod(selection.row_counts), math.prod(selection.counts), memory_guard)
     diff_mats = [
         _check_disjoint_1d(cols, rows)
         for cols, rows in zip(selection.col_points, selection.row_points)

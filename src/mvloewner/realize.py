@@ -35,20 +35,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, MemoryGuardError, PoleError
+from .errors import GridError
 from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
-from .loewner import (
-    BYTES_PER_ENTRY,
-    DEFAULT_MEMORY_GUARD,
-    DEFAULT_RANK_TOL,
-    _kron_of,
-    numerical_rank,
-)
-from .model import POLE_THRESHOLD, _as_points, _contract_points, _eval_points, _factor_matrix
+from .loewner import DEFAULT_RANK_TOL, _guard_dense, _kron_of, numerical_rank
+from .model import _as_points, _evaluate
 
 LOG_PRODUCT_CUTOFF = 300
 
@@ -177,68 +171,78 @@ def arrange_coefficients(model, split):
     as columns.  With a single variable, ``A_lag`` is the row ``-c^T`` and
     ``B_lag`` is empty.
     """
-    counts = model.counts
-    if len(split.counts) != len(counts) or split.counts != counts:
-        raise GridError("split counts do not match the model")
-    if not split.left:
-        return -model.weights[:1], np.zeros((0, split.kappa), dtype=complex)
-    axes = [0, *(a + 1 for a in split.left + split.right)]
-    unfolded = model.weights.reshape(2, *counts).transpose(axes)
-    a_lag, b_lag = unfolded.reshape(2, split.ell, split.kappa).copy()
-    return a_lag, b_lag
+    realization = build_realization(model, split)
+    return realization.a_lag, realization.b_lag
 
 
 def _kron_eval(companions, values):
     return _kron_of([comp.evaluate(value) for comp, value in zip(companions, values)])
 
 
-def _guard_dense(size):
-    """Refuse a dense ``size``-by-``size`` complex matrix past the memory guard."""
-    estimate = BYTES_PER_ENTRY * size * size
-    if estimate > DEFAULT_MEMORY_GUARD:
-        raise MemoryGuardError(estimate, DEFAULT_MEMORY_GUARD)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneralizedRealization:
-    """Triple (C, Phi, B) with H(x) = C Phi(x)^{-1} B.
+    """Triple (C, Phi, B) with H(x) = C Phi(x)^{-1} B, held as its split,
+    companions and weights.
 
-    ``weights`` is derived: ``[A_lag; B_lag]`` flattened to ``(2, ell *
-    kappa)`` over the axes ``split.left + split.right`` (``[a_lag; -C]``
-    with one variable), the denominator and numerator weights of ``H``.
+    ``companions`` holds one companion per variable, in the original order;
+    their names are the variable names.  ``weights`` is ``(2, ell *
+    kappa)``: the denominator and numerator weights of ``H`` over the axes
+    ``split.left + split.right``, ``[A_lag; B_lag]`` flattened (``[a_lag;
+    -C]`` with one variable).  ``A_lag``, ``B_lag``, ``C`` and ``B`` are
+    derived from these three.
     """
 
     split: VariableSplit
-    variable_names: tuple
-    companions: tuple  # one per variable, original order
-    a_lag: np.ndarray
-    b_lag: np.ndarray
-    c_vector: np.ndarray
-    b_vector: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.split.left:
-            weights = np.stack([self.a_lag, self.b_lag]).reshape(2, -1)
-        else:
-            weights = np.stack([self.a_lag[0], -self.c_vector])
-        object.__setattr__(self, "weights", weights)
+    companions: tuple
+    weights: np.ndarray
 
     @property
     def order(self):
         return self.split.order
 
-    def _point_map(self, point):
-        if len(point) != len(self.companions):
-            raise GridError(f"expected {len(self.companions)} coordinates, got {len(point)}")
-        return [complex(v) for v in point]
+    @property
+    def variable_names(self):
+        return tuple(comp.name for comp in self.companions)
+
+    @property
+    def a_lag(self):
+        return self.weights[0].reshape(self.split.ell, self.split.kappa)
+
+    @property
+    def b_lag(self):
+        """``ell``-by-``kappa``; no rows with one variable."""
+        split = self.split
+        rows = split.ell if split.left else 0
+        return self.weights[1, : rows * split.kappa].reshape(rows, split.kappa)
+
+    @property
+    def c_vector(self):
+        """``beta`` with one variable, otherwise ``-e_m``."""
+        if not self.split.left:
+            return -self.weights[1]
+        c_vector = np.zeros(self.order, dtype=complex)
+        c_vector[-1] = -1.0
+        return c_vector
+
+    @property
+    def b_vector(self):
+        """``-e_k`` with one variable, otherwise ``[0; q_Delta; 0]``, ``q_Delta``
+        the Kronecker product of the left companions' closing weights."""
+        split = self.split
+        b_vector = np.zeros(split.order, dtype=complex)
+        if not split.left:
+            b_vector[-1] = -1.0
+        else:
+            q_delta = _kron_of([self.companions[i].q_weights for i in split.left])
+            b_vector[split.kappa - 1 : split.kappa - 1 + split.ell] = q_delta
+        return b_vector
 
     def phi(self, point):
         """Numeric m-by-m resolvent basis matrix at a point tuple."""
-        values = self._point_map(point)
+        values = _as_points(point, len(self.companions)).tolist()
         split = self.split
         kappa, ell, m = split.kappa, split.ell, split.order
-        _guard_dense(m)
+        _guard_dense(m, m)
         gamma = _kron_eval([self.companions[i] for i in split.right], [values[i] for i in split.right])
         if not split.left:
             matrix = np.zeros((m, m), dtype=complex)
@@ -255,25 +259,6 @@ class GeneralizedRealization:
         return matrix
 
 
-def _io_vectors(split, companions, beta):
-    """The documented constant ``(C, B)`` of a split.
-
-    With one variable ``C = beta`` and ``B = -e_k``; otherwise ``C =
-    -e_m`` and ``B = [0; q_Delta; 0]``, ``q_Delta`` the Kronecker product
-    of the left companions' closing weights.
-    """
-    m = split.order
-    b_vector = np.zeros(m, dtype=complex)
-    if not split.left:
-        b_vector[-1] = -1.0
-        return np.array(beta, dtype=complex), b_vector
-    kappa, ell = split.kappa, split.ell
-    b_vector[kappa - 1 : kappa - 1 + ell] = _kron_of([companions[i].q_weights for i in split.left])
-    c_vector = np.zeros(m, dtype=complex)
-    c_vector[-1] = -1.0
-    return c_vector, b_vector
-
-
 def build_realization(model, split="first"):
     """Realization of a barycentric model for a left/right variable split.
 
@@ -281,23 +266,21 @@ def build_realization(model, split="first"):
     the default puts variable 0 (the frequency variable) alone on the
     right and every other variable on the left.
     """
+    counts = model.counts
     if not isinstance(split, VariableSplit):
-        split = resolve_split(split, model.counts)
-    a_lag, b_lag = arrange_coefficients(model, split)
+        split = resolve_split(split, counts)
+    if split.counts != counts:
+        raise GridError("split counts do not match the model")
+    if split.left:
+        axes = [0, *(a + 1 for a in split.left + split.right)]
+        weights = model.weights.reshape(2, *counts).transpose(axes).reshape(2, -1)
+    else:
+        weights = -model.weights
     companions = tuple(
         build_pseudo_companion(points, name)
         for points, name in zip(model.support_points, model.variable_names)
     )
-    c_vector, b_vector = _io_vectors(split, companions, model.weights_beta)
-    return GeneralizedRealization(
-        split=split,
-        variable_names=model.variable_names,
-        companions=companions,
-        a_lag=a_lag,
-        b_lag=b_lag,
-        c_vector=c_vector,
-        b_vector=b_vector,
-    )
+    return GeneralizedRealization(split, companions, weights)
 
 
 def eval_realization(realization, points):
@@ -318,18 +301,9 @@ def eval_realization(realization, points):
     PoleError
         If the denominator vanishes at a single point.
     """
-    companions = realization.companions
     axes = realization.split.left + realization.split.right
-    array = _as_points(points, len(companions))
-    if array.ndim == 2:
-        supports = [companions[i].points for i in axes]
-        return _eval_points(realization.weights, supports, array[:, axes])
-    values = array.tolist()
-    factors = [_factor_matrix(companions[i].points, values[i]) for i in axes]
-    denominator, numerator = _contract_points(realization.weights, factors)[0].tolist()
-    if abs(denominator) < POLE_THRESHOLD:
-        raise PoleError(f"realization denominator vanishes at {tuple(points)}")
-    return numerator / denominator
+    supports = [realization.companions[i].points for i in axes]
+    return _evaluate(realization.weights, supports, axes, points, "realization")
 
 
 @dataclass(frozen=True)
@@ -357,7 +331,7 @@ class CompressedRealization:
     def c_row(self, point):
         parent = self.parent
         split = parent.split
-        values = parent._point_map(point)
+        values = _as_points(point, len(parent.companions)).tolist()
         adj_rows = [
             parent.companions[i].adjugate_last_row(values[i]) for i in split.left
         ]
@@ -464,9 +438,9 @@ def polynomial_determinant(coefficients, companions, form, point):
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=complex))
     values = [complex(v) for v in np.atleast_1d(point)]
     if form == "M1":
-        _guard_dense(math.prod(comp.size for comp in companions))
+        size = math.prod(comp.size for comp in companions)
+        _guard_dense(size, size)
         kron = _kron_eval(companions, values)
-        size = kron.shape[0]
         stacked = np.vstack([kron[: size - 1, :], coeffs.reshape(1, -1)])
         if stacked.shape != (size, size):
             raise GridError("coefficient count does not match the companion sizes")
@@ -527,24 +501,26 @@ def _coefficient_block(rows, shape, label):
 
 
 def realization_from_dict(data):
-    """Load a realization, refusing blocks and vectors off the documented form.
+    """Load a realization, refusing a file off the one its split, companions
+    and weights give.
 
-    ``A_lag``/``B_lag`` must be ``ell``-by-``kappa`` (one row and none with
-    one variable) and ``C``/``B`` must follow the pattern of
-    :func:`build_realization` to a relative 1e-12, so that evaluation's
-    block elimination holds for every file accepted.
+    ``variables`` must be the companions' names and ``m``/``kappa``/``ell``
+    the split's; ``A_lag``/``B_lag`` must be ``ell``-by-``kappa`` (one row
+    and none with one variable) and ``C``/``B`` the vectors derived as in
+    :class:`GeneralizedRealization` to a relative 1e-12 (with one variable
+    ``C`` carries the numerator weights), so that evaluation's block
+    elimination holds for every file accepted.
     """
     data = _json_typed(data, dict, "realization document")
-    names = [str(n) for n in _json_typed(data["variables"], list, "variables")]
     entries = _json_typed(data["companions"], list, "companions")
     entries = [_json_typed(e, dict, f"companions entry {l}") for l, e in enumerate(entries)]
     companions = tuple(
         PseudoCompanion(
-            entry["name"],
+            _json_typed(entry["name"], str, f"name of companions entry {l}"),
             _pairs_to_complex(entry["points"], f"points of companion {entry['name']!r}"),
             _pairs_to_complex(entry["q"], f"q of companion {entry['name']!r}"),
         )
-        for entry in entries
+        for l, entry in enumerate(entries)
     )
     for comp in companions:
         distinct = comp.size > 0 and np.unique(comp.points).size == comp.size
@@ -552,32 +528,33 @@ def realization_from_dict(data):
             raise GridError(
                 f"companion {comp.name!r} needs distinct points, at least one, and one weight each"
             )
+    names = [comp.name for comp in companions]
+    if _json_typed(data["variables"], list, "variables") != names:
+        raise GridError(f"variables {data['variables']!r:.60} are not the companion names {names}")
     counts = tuple(comp.size for comp in companions)
     split_doc = _json_typed(data["split"], dict, "split")
     right = tuple(names.index(n) for n in _json_typed(split_doc["right"], list, "split right"))
     left = tuple(names.index(n) for n in _json_typed(split_doc["left"], list, "split left"))
     split = VariableSplit(right, left, counts)
+    for key, value in (("m", split.order), ("kappa", split.kappa), ("ell", split.ell)):
+        if data[key] != value:
+            raise GridError(f"{key} is {data[key]!r:.40}, but the split gives {value}")
     rows = split.ell if split.left else 0
     a_lag = _coefficient_block(data["A_lag"], (split.ell, split.kappa), "A_lag")
     b_lag = _coefficient_block(data["B_lag"], (rows, split.kappa), "B_lag")
-    c_vector = _pairs_to_complex(data["C"], "C")
-    b_vector = _pairs_to_complex(data["B"], "B")
-    for label, vector, expected in zip(
-        ("C", "B"), (c_vector, b_vector), _io_vectors(split, companions, c_vector)
-    ):
+    vectors = {label: _pairs_to_complex(data[label], label) for label in ("C", "B")}
+    for label, vector in vectors.items():
         if vector.size != split.order:
             raise GridError(f"{label} must have length {split.order}, got {vector.size}")
-        if not np.allclose(vector, expected, rtol=1e-12, atol=0):
-            raise GridError(f"{label} is not the documented constant vector of this split")
-    return GeneralizedRealization(
-        split=split,
-        variable_names=tuple(names),
-        companions=companions,
-        a_lag=a_lag,
-        b_lag=b_lag,
-        c_vector=c_vector,
-        b_vector=b_vector,
+    numerator = b_lag if split.left else -vectors["C"][None, :]
+    realization = GeneralizedRealization(
+        split, companions, np.concatenate([a_lag, numerator]).reshape(2, -1)
     )
+    derived = {"C": realization.c_vector, "B": realization.b_vector}
+    for label, vector in vectors.items():
+        if not np.allclose(vector, derived[label], rtol=1e-12, atol=0):
+            raise GridError(f"{label} is not the documented constant vector of this split")
+    return realization
 
 
 def load_realization(path):

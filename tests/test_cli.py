@@ -468,3 +468,37 @@ def test_array_overflow_in_the_oracle_is_an_input_error(tmp_path, capsys):
     assert main(["order-detect", "--data", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "non-finite" in captured.err
+
+
+# c = 1e308 twice: the sums overflow to inf - inf = NaN off the support
+NAN_MODEL = {"variables": ["s"], "support": [[[0, 0], [1, 0]]], "c": [[1e308, 0], [1e308, 0]], "w": [[1, 0], [1, 0]]}
+FLAT_ORACLE = {
+    "variables": [{"name": "s", "lambda": [[0, 0], [1, 0]], "mu": [[0.5, 0], [2, 0]]}],
+    "expression": "1+0*s",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_reports_a_sweep_value_lost_to_overflow(tmp_path, capsys):
+    model = _write_json(tmp_path / "model.json", NAN_MODEL)
+    oracle = _write_json(tmp_path / "oracle.json", FLAT_ORACLE)
+    assert main(["verify", "--model", model, "--oracle", oracle]) == 4
+    sweep = json.loads(capsys.readouterr().out)["checks"]["sweep"]
+    assert sweep["max_error"] == np.inf and sweep["argmax"] == [[0.5, 0.0]] and not sweep["ok"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_of_a_value_lost_to_overflow_is_degenerate(tmp_path, capsys):
+    model = _write_json(tmp_path / "model.json", NAN_MODEL)
+    assert main(["eval", "--model", model, "--point", "0.25"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_numerator_weights_are_an_input_error(tmp_path, capsys):
+    doc = dict(NAN_MODEL, c=[[1e308, 0], [1, 0]], w=[[10, 0], [1, 0]])
+    model = _write_json(tmp_path / "model.json", doc)
+    assert main(["eval", "--model", model, "--point", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c * w are not finite" in captured.err

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -404,7 +405,7 @@ def test_swapping_coefficient_blocks_inverts_the_function(source_2d):
     realization = build_realization(model, make_split((0,), model.counts))
     from dataclasses import replace
 
-    swapped = replace(realization, a_lag=realization.b_lag, b_lag=realization.a_lag)
+    swapped = replace(realization, weights=realization.weights[::-1])
     rng = np.random.default_rng(8)
     for _ in range(20):
         point = (rng.uniform(6, 9), rng.uniform(-9, -6))
@@ -490,11 +491,8 @@ def test_minimality_detects_broken_companion(source_2d):
     # is assembled from that same row, so it collapses with it
     broken = list(realization.companions)
     broken[1] = PseudoCompanion("t", broken[1].points, np.zeros(2, dtype=complex))
-    rigged = replace(
-        realization,
-        companions=tuple(broken),
-        b_vector=np.zeros_like(realization.b_vector),
-    )
+    rigged = replace(realization, companions=tuple(broken))
+    np.testing.assert_array_equal(rigged.b_vector, 0)
     (report,) = check_r_minimality(rigged, [(0.25, 0.75)])
     assert not report["ok"]
 
@@ -675,18 +673,40 @@ def test_polynomial_determinant_single_variable_linear():
 # --- serialization ---------------------------------------------------------
 
 
-def test_realization_json_round_trip(source_3d):
-    model = _model_from_source(source_3d)
-    realization = build_realization(model, make_split((0, 1), model.counts))
-    doc = realization_to_dict(realization)
-    assert doc["m"] == 9 and doc["kappa"] == 4 and doc["ell"] == 3
-    clone = realization_from_dict(doc)
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        point = tuple(rng.uniform(8, 11, 3))
-        assert eval_realization(clone, point) == pytest.approx(
-            eval_realization(realization, point), rel=1e-12
+def _every_split(n):
+    """Every ordered right|left partition of ``n`` variables (left empty only for one)."""
+    if n == 1:
+        return [((0,), ())]
+    orders = itertools.permutations(range(n))
+    return [(order[:cut], order[cut:]) for order in orders for cut in range(1, n)]
+
+
+def _bits(realization):
+    arrays = [realization.weights, realization.c_vector, realization.b_vector]
+    for comp in realization.companions:
+        arrays += [comp.points, comp.q_weights]
+    return [(array.shape, array.tobytes()) for array in arrays]
+
+
+@pytest.mark.parametrize(
+    "fixture, right, left",
+    [
+        pytest.param(
+            fixture, right, left, id=f"{n}var-{''.join(map(str, right))}|{''.join(map(str, left))}"
         )
+        for n, fixture in ((1, "source_1d"), (2, "source_2d"), (3, "source_3d"))
+        for right, left in _every_split(n)
+    ],
+)
+def test_realization_json_round_trip(request, fixture, right, left):
+    model = _model_from_source(request.getfixturevalue(fixture))
+    realization = build_realization(model, make_split(right, model.counts, left))
+    doc = realization_to_dict(realization)
+    split = realization.split
+    assert (doc["m"], doc["kappa"], doc["ell"]) == (split.order, split.kappa, split.ell)
+    clone = realization_from_dict(json.loads(json.dumps(doc)))
+    assert clone.split == split and clone.variable_names == model.variable_names
+    assert _bits(clone) == _bits(realization)
 
 
 def _set(path, value):
@@ -712,6 +732,12 @@ def _set(path, value):
         pytest.param(_set(("C", 0), [0.0, 1e-9]), id="C_nonzero_entry"),
         pytest.param(_set(("companions", 2, "q", 1), [9.0, 0.0]), id="q_changed_B_kept"),
         pytest.param(_set(("companions", 0, "points", 1), [2.0, 0.0]), id="repeated_point"),
+        pytest.param(_set(("m",), 999), id="m_999_not_9"),
+        pytest.param(_set(("kappa",), 3), id="kappa_3_not_4"),
+        pytest.param(_set(("ell",), 4), id="ell_4_not_3"),
+        pytest.param(lambda doc: doc["variables"].append("u"), id="4_names_for_3_companions"),
+        pytest.param(_set(("variables", 2), "q"), id="name_not_the_companion_name"),
+        pytest.param(_set(("variables",), ["t", "s", "p"]), id="names_out_of_companion_order"),
     ],
 )
 def test_loader_refuses_realizations_off_the_documented_form(source_3d, edit):
@@ -730,6 +756,8 @@ def test_loader_refuses_realizations_off_the_documented_form(source_3d, edit):
         pytest.param(lambda doc: doc["B_lag"].append(doc["A_lag"][0]), id="B_lag_one_row"),
         pytest.param(_set(("B", 2), [1.0, 0.0]), id="B_plus_e_k"),
         pytest.param(_set(("B", 0), [-1.0, 0.0]), id="B_nonzero_entry"),
+        pytest.param(_set(("m",), 999), id="m_999_not_3"),
+        pytest.param(lambda doc: doc["variables"].append("t"), id="2_names_for_1_companion"),
     ],
 )
 def test_loader_refuses_single_variable_realizations_off_the_documented_form(source_1d, edit):
