@@ -258,9 +258,11 @@ def cmd_verify(args):
         ]
         a = eval_model(model, points)
         b = eval_realization(realization, points)
+        lost = np.isnan(a) | np.isnan(b)  # a value lost to overflow fails the check
         kept = np.isfinite(a) & np.isfinite(b)  # a pole of either form is skipped
         a, b = a[kept], b[kept]
-        worst = np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a)), initial=0.0)
+        mismatch = np.abs(a - b) / np.maximum(1.0, np.abs(a))
+        worst = np.inf if lost.any() else np.max(mismatch, initial=0.0)
         checks["realization"] = {"max_relative_mismatch": float(worst), "ok": bool(worst <= 1e-8)}
 
     ok = all(entry["ok"] for entry in checks.values())
@@ -310,6 +312,15 @@ def cmd_plot_data(args):
         else:
             raise MvLoewnerError(f"variable {var!r} is neither swept nor frozen")
     samples = eval_model(model, np.stack(columns, axis=1))
+    lost = np.flatnonzero(np.isnan(samples))
+    if lost.size:
+        first = lost[0]
+        print(
+            f"error: the model value {format_complex(samples[first])} at {name}={sweep[first]:.12g}"
+            " is not a number",
+            file=sys.stderr,
+        )
+        return EXIT_DEGENERATE
     lines = ["point,re,im,abs"]
     for value, sample in zip(sweep, samples):
         if np.isinf(sample):

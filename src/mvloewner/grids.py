@@ -369,7 +369,8 @@ def _pairs_to_complex(pairs, what):
 
 
 def _complex_to_pairs(values):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex).reshape(-1)]
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
 def _grids_from_json(entries):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import GridError, MemoryGuardError
 from .grids import Selection
 
@@ -103,6 +104,10 @@ def _guard_dense(rows, cols, memory_guard=DEFAULT_MEMORY_GUARD):
 def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
     """Dense n-D Loewner matrix of ``source`` over a point selection.
 
+    The matrix is filled in blocks of whole variable-0 row slabs of about
+    ``model.SWEEP_CHUNK_BYTES`` each, so that no temporary is as large as
+    the matrix; every entry is the one the unblocked formula gives.
+
     Parameters
     ----------
     source : DataSource
@@ -114,14 +119,22 @@ def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
     """
     if selection is None:
         selection = Selection.full(source)
-    _guard_dense(math.prod(selection.row_counts), math.prod(selection.counts), memory_guard)
+    rows, cols = math.prod(selection.row_counts), math.prod(selection.counts)
+    _guard_dense(rows, cols, memory_guard)
     diff_mats = [
-        _check_disjoint_1d(cols, rows)
-        for cols, rows in zip(selection.col_points, selection.row_points)
+        _check_disjoint_1d(col_pts, row_pts)
+        for col_pts, row_pts in zip(selection.col_points, selection.row_points)
     ]
     w = source.values_on_product(selection.col_points).reshape(-1)
     v = source.values_on_product(selection.row_points).reshape(-1)
-    entries = (v[:, None] - w[None, :]) / _kron_of(diff_mats)
+    entries = np.empty((rows, cols), dtype=complex)
+    # the rows of one variable-0 row point, and how many such slabs make a block
+    per_slab = math.prod(selection.row_counts[1:])
+    step = max(1, model.SWEEP_CHUNK_BYTES // max(1, BYTES_PER_ENTRY * per_slab * cols))
+    for start in range(0, selection.row_counts[0], step):
+        block = slice(start * per_slab, (start + step) * per_slab)
+        np.subtract(v[block, None], w[None, :], out=entries[block])
+        entries[block] /= _kron_of([diff_mats[0][start : start + step], *diff_mats[1:]])
     return LoewnerMatrix(entries, selection.col_points, selection.row_points)
 
 
@@ -156,17 +169,32 @@ def sylvester_residual(lm, ops):
     Starting from ``X = M_0 L - L Lambda_0`` the chain applies
     ``X <- M_l X - X Lambda_l`` for l = 1, ..., n-1; the result must equal
     ``V R - L W`` (outer difference of the data vectors).  Returns the
-    Frobenius-norm residual relative to ``||V R - L W||``.
+    Frobenius-norm residual relative to ``||V R - L W||``.  All factors
+    are diagonal, so the chain runs on row blocks of ``L`` whose squared
+    norms are summed; the block and its one temporary hold about
+    ``model.SWEEP_CHUNK_BYTES`` together.
     """
-    x = ops.mu_diags[0][:, None] * lm.entries - lm.entries * ops.lambda_diags[0][None, :]
-    for l in range(1, len(ops.lambda_diags)):
-        x = ops.mu_diags[l][:, None] * x - x * ops.lambda_diags[l][None, :]
-    target = ops.v[:, None] - ops.w[None, :]
-    denom = np.linalg.norm(target)
-    num = np.linalg.norm(x - target)
+    rows, cols = lm.shape
+    step = max(1, min(rows, model.SWEEP_CHUNK_BYTES // max(1, 2 * BYTES_PER_ENTRY * cols)))
+    x, t = np.empty((2, step, cols), dtype=complex)  # the chain's block and its temporary
+    num = denom = 0.0
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        entries = lm.entries[block]
+        xb, tb = x[: len(entries)], t[: len(entries)]
+        np.multiply(ops.mu_diags[0][block, None], entries, out=xb)
+        xb -= np.multiply(entries, ops.lambda_diags[0][None, :], out=tb)
+        for l in range(1, len(ops.lambda_diags)):
+            np.multiply(xb, ops.lambda_diags[l][None, :], out=tb)
+            np.multiply(ops.mu_diags[l][block, None], xb, out=xb)
+            xb -= tb
+        np.subtract(ops.v[block, None], ops.w[None, :], out=tb)
+        denom += np.vdot(tb, tb).real
+        xb -= tb
+        num += np.vdot(xb, xb).real
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
-    return float(num / denom)
+    return math.sqrt(num) / math.sqrt(denom)
 
 
 def numerical_rank(sigma, rel_tol=DEFAULT_RANK_TOL):

@@ -496,6 +496,32 @@ def test_eval_of_a_value_lost_to_overflow_is_degenerate(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plot_data_of_a_value_lost_to_overflow_is_degenerate(tmp_path, capsys):
+    model = _write_json(tmp_path / "model.json", NAN_MODEL)
+    csv_path = tmp_path / "sweep.csv"
+    for out in ([], ["--out", str(csv_path)]):
+        assert main(["plot-data", "--model", model, "--sweep", "s=0.2:0.4:3", *out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan+nani at s=0.2 is not a number" in captured.err
+    assert not csv_path.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_realization_fails_on_a_value_lost_to_overflow(tmp_path, capsys):
+    model = _write_json(tmp_path / "model.json", NAN_MODEL)
+    oracle = _write_json(tmp_path / "oracle.json", FLAT_ORACLE)
+    realization = str(tmp_path / "real.json")
+    assert main(["realize", "--model", model, "--out", realization]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--model", model, "--oracle", oracle, "--realization", realization]
+    assert main(argv) == 4
+    out = capsys.readouterr().out
+    assert '"max_relative_mismatch": Infinity' in out
+    assert json.loads(out)["checks"]["realization"]["ok"] is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_numerator_weights_are_an_input_error(tmp_path, capsys):
     doc = dict(NAN_MODEL, c=[[1e308, 0], [1, 0]], w=[[10, 0], [1, 0]])
     model = _write_json(tmp_path / "model.json", doc)

@@ -22,6 +22,7 @@ from mvloewner import (
     source_from_dict,
     source_to_dict,
 )
+from mvloewner.grids import _complex_to_pairs
 
 
 def test_disjoint_ok_on_clean_grid():
@@ -169,6 +170,25 @@ def test_json_round_trip_dense(source_2d, tmp_path):
     loaded = source_from_dict(json.loads(path.read_text()))
     np.testing.assert_array_equal(loaded.tableau.values, dense.tableau.values)
     assert loaded.names == dense.names
+
+
+def test_complex_to_pairs_matches_per_entry_floats():
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -1e308]
+    parts = np.array(list(itertools.product(specials, repeat=2))).T
+    values = np.concatenate(
+        [
+            parts[0] + 1j * parts[1],
+            rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)
+            + 1j * rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200),
+        ]
+    )
+    for array in (values, values.reshape(3, -1), values.real, values[0]):
+        pairs = _complex_to_pairs(array)
+        expected = [[float(v.real), float(v.imag)] for v in np.asarray(array, complex).reshape(-1)]
+        # JSON text tells the signs of zeros apart, which == does not
+        assert json.dumps(pairs) == json.dumps(expected)
+        assert all(type(x) is float for pair in pairs for x in pair)
 
 
 def test_json_round_trip_oracle(source_3d):

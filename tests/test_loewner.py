@@ -1,6 +1,9 @@
 """Loewner matrix construction, Sylvester identity, null spaces, order detection."""
 
+import functools
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from mvloewner import (
     DenseSource,
     GridError,
+    LoewnerMatrix,
     MemoryGuardError,
     OracleSource,
     Selection,
@@ -23,6 +27,7 @@ from mvloewner import (
     parse,
     sylvester_residual,
 )
+from mvloewner import model as model_module
 from mvloewner.loewner import DEFAULT_RANK_TOL, numerical_rank
 from conftest import C1_EXPECTED, C2_EXPECTED
 
@@ -146,24 +151,99 @@ def test_sylvester_residual_detects_perturbation(source_2d):
     assert sylvester_residual(bad, ops) > 0.01
 
 
+def _random_dense_source(rng, max_rows=4):
+    """Random complex samples on 1-4 variables of 1-4 columns and 1-``max_rows`` rows."""
+    grids = []
+    for l in range(int(rng.integers(1, 5))):
+        k = int(rng.integers(1, 5))
+        q = int(rng.integers(1, max_rows + 1))
+        points = rng.permutation(np.linspace(-2, 2, k + q)) + rng.uniform(-0.05, 0.05)
+        grids.append(VariableGrid(f"x{l}", points[:k], points[k:]))
+    shape = tuple(g.union_points.size for g in grids)
+    return DenseSource(Tableau(grids, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+
+
 def test_sylvester_residual_random_datasets():
     rng = np.random.default_rng(42)
-    from mvloewner import DenseSource, Tableau, VariableGrid
-
     for _ in range(100):
-        n = int(rng.integers(1, 5))
-        grids = []
-        for l in range(n):
-            k = int(rng.integers(1, 5))
-            q = int(rng.integers(1, 5))
-            points = rng.permutation(np.linspace(-2, 2, k + q)) + rng.uniform(-0.05, 0.05)
-            grids.append(VariableGrid(f"x{l}", points[:k], points[k:]))
-        shape = tuple(g.union_points.size for g in grids)
-        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        source = DenseSource(Tableau(grids, values))
+        source = _random_dense_source(rng)
         lm = build_loewner_nd(source)
         ops = build_sylvester_operands(source)
         assert sylvester_residual(lm, ops) <= 1e-12
+
+
+def _unblocked_entries(source):
+    """The Loewner matrix by the one-shot formula, as a reference for the blocked build."""
+    selection = Selection.full(source)
+    pairs = zip(selection.col_points, selection.row_points)
+    diffs = [np.subtract.outer(rows, cols) for cols, rows in pairs]
+    w = source.values_on_product(selection.col_points).reshape(-1)
+    v = source.values_on_product(selection.row_points).reshape(-1)
+    return (v[:, None] - w[None, :]) / functools.reduce(np.kron, diffs)
+
+
+def _unblocked_residual(lm, ops):
+    """The Sylvester chain on the whole matrix, as a reference for the blocked residual."""
+    x = ops.mu_diags[0][:, None] * lm.entries - lm.entries * ops.lambda_diags[0][None, :]
+    for l in range(1, len(ops.lambda_diags)):
+        x = ops.mu_diags[l][:, None] * x - x * ops.lambda_diags[l][None, :]
+    target = ops.v[:, None] - ops.w[None, :]
+    return np.linalg.norm(x - target) / np.linalg.norm(target)
+
+
+@pytest.mark.parametrize("chunk_bytes", [model_module.SWEEP_CHUNK_BYTES, 256])
+def test_blocked_build_and_residual_match_unblocked_formulas(chunk_bytes):
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        source = _random_dense_source(rng, max_rows=5)
+        ops = build_sylvester_operands(source)
+        with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
+            lm = build_loewner_nd(source)
+            residual = sylvester_residual(lm, ops)
+        reference = _unblocked_entries(source)
+        assert lm.entries.shape == reference.shape
+        assert lm.entries.tobytes() == reference.tobytes()
+        expected = _unblocked_residual(lm, ops)
+        assert abs(residual - expected) <= 1e-13 * expected
+
+
+def test_blocked_residual_detects_a_perturbed_entry_in_the_last_block(source_3d):
+    with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", 256):
+        lm = build_loewner_nd(source_3d)
+        ops = build_sylvester_operands(source_3d)
+        assert sylvester_residual(lm, ops) <= 1e-13
+        perturbed = lm.entries.copy()
+        perturbed[-1, -1] += 1.0
+        bad = LoewnerMatrix(perturbed, lm.col_points, lm.row_points)
+        assert sylvester_residual(bad, ops) > 0.01
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_blocked_build_and_residual_hold_no_full_size_temporary():
+    # 8 x 8 columns against 128 x 64 rows: an 8 MiB Loewner matrix
+    rng = np.random.default_rng(3)
+    grids = [
+        VariableGrid("s", np.linspace(-1, 1, 8), np.linspace(-0.99, 0.99, 128)),
+        VariableGrid("t", np.linspace(2, 3, 8), np.linspace(2.01, 2.99, 64)),
+    ]
+    values = rng.normal(size=(136, 72)) + 1j * rng.normal(size=(136, 72))
+    source = DenseSource(Tableau(grids, values))
+    ops = build_sylvester_operands(source)
+    lm, build_peak = _traced_peak(lambda: build_loewner_nd(source))
+    assert lm.entries.nbytes == 8 * 2**20
+    assert build_peak < lm.entries.nbytes + 2 * 2**20
+    residual, residual_peak = _traced_peak(lambda: sylvester_residual(lm, ops))
+    assert residual_peak < 2 * 2**20
+    assert residual <= 1e-12
 
 
 def test_nullspace_1d_golden(source_1d):
