@@ -24,7 +24,7 @@ from .driver import FitOptions, fit_adaptive, fit_direct
 from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError
 from .grids import Selection, _complex_to_pairs, load_source
 from .loewner import build_loewner_nd, build_sylvester_operands, detect_orders, sylvester_residual
-from .model import _eval_on_grid, _first_worst, eval_model, load_model, max_error, model_to_dict
+from .model import _eval_on_grid, eval_model, load_model, max_error, model_to_dict, sweep_is_sampled
 from .realize import (
     build_realization,
     eval_realization,
@@ -62,14 +62,6 @@ def write_text_atomic(text, path):
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def _load_input_source(args):
-    if getattr(args, "data", None):
-        return load_source(args.data)
-    if getattr(args, "oracle", None):
-        return load_source(args.oracle)
-    raise MvLoewnerError("one of --data or --oracle is required")
 
 
 def _parse_degrees(text):
@@ -121,7 +113,7 @@ def cmd_order_detect(args):
 
 
 def cmd_fit(args):
-    source = _load_input_source(args)
+    source = load_source(args.data)
     opts = _fit_options(args, source.names)
     result = fit_direct(source, opts)
     write_json_atomic(model_to_dict(result.model), args.out)
@@ -135,7 +127,7 @@ def cmd_fit(args):
 
 
 def cmd_fit_adaptive(args):
-    source = _load_input_source(args)
+    source = load_source(args.data)
     opts = _fit_options(args, source.names)
     try:
         model, log = fit_adaptive(source, args.tol, opts)
@@ -198,7 +190,7 @@ def cmd_realize(args):
 
 
 def cmd_verify(args):
-    source = _load_input_source(args)
+    source = load_source(args.data)
     model = load_model(args.model)
     checks = {}
 
@@ -220,20 +212,7 @@ def cmd_verify(args):
     except MvLoewnerError as exc:
         checks["sylvester"] = {"skipped": str(exc), "ok": True}
 
-    total_tuples = int(np.prod([g.union_points.size for g in source.grids]))
-    if total_tuples <= 100_000:
-        error, location = max_error(model, source)
-    else:
-        # huge oracle grids: sweep a seeded sample of tuples instead
-        rng = np.random.default_rng(args.seed)
-        sizes = [g.union_points.size for g in source.grids]
-        indices = rng.integers(0, sizes, size=(5000, len(sizes)))
-        points = np.stack(
-            [g.union_points[indices[:, l]] for l, g in enumerate(source.grids)], axis=1
-        )
-        values = eval_model(model, points)
-        index, error = _first_worst(np.abs(values - source.values_at_indices(indices)))
-        location = tuple(points[index])
+    error, location = max_error(model, source, args.seed)
     scale = 1.0 + float(
         np.max(np.abs(source.tableau.values))
         if hasattr(source, "tableau")
@@ -242,7 +221,7 @@ def cmd_verify(args):
     checks["sweep"] = {
         "max_error": float(error),
         "argmax": _complex_to_pairs(location),
-        "sampled": bool(total_tuples > 100_000),
+        "sampled": sweep_is_sampled(source),
         "ok": bool(np.isfinite(error) and error <= args.tol * scale),
     }
 
@@ -354,8 +333,7 @@ def build_parser():
     p.set_defaults(func=cmd_order_detect)
 
     p = sub.add_parser("fit", help="direct fit: detect orders, compute weights, save model")
-    p.add_argument("--data")
-    p.add_argument("--oracle")
+    p.add_argument("--data", "--oracle", required=True)
     p.add_argument("--degrees")
     p.add_argument("--method", choices=["full", "cascade"], default="cascade")
     p.add_argument("--order", help="recursion order, variable names or 1-based indices")
@@ -365,8 +343,7 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit-adaptive", help="greedy adaptive fit to a tolerance")
-    p.add_argument("--data")
-    p.add_argument("--oracle")
+    p.add_argument("--data", "--oracle", required=True)
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--method", choices=["full", "cascade"], default="cascade")
     p.add_argument("--order")
@@ -388,8 +365,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="consistency checks of model against data")
     p.add_argument("--model", required=True)
-    p.add_argument("--data")
-    p.add_argument("--oracle")
+    p.add_argument("--data", "--oracle", required=True)
     p.add_argument("--realization")
     p.add_argument("--tol", type=float, default=1e-8, help="sweep-error budget, relative to the data scale")
     p.add_argument("--seed", type=int, default=0)

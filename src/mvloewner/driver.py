@@ -19,14 +19,14 @@ from .cascade import cascaded_nullspace, make_flop_report, resolve_order
 from .errors import DegenerateNullspaceError, GridError, NotConvergedError
 from .grids import Selection, _check_degrees, _complex_to_pairs, check_disjoint
 from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
-from .model import make_model, max_error
+from .model import make_model, max_error, sweep_is_sampled
 from .realize import build_realization
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the drivers; ``degrees``, ``order_sample_budget``, ``seed``
-    and ``split`` are read only by :func:`fit_direct`."""
+    """Knobs of the drivers; ``degrees``, ``order_sample_budget`` and ``split``
+    are read only by :func:`fit_direct`, ``seed`` by both (orders, sampled sweeps)."""
 
     nullspace_method: str = "cascaded"  # "cascaded" | "full"
     variable_order: object = "auto"  # a cascade.resolve_order spec
@@ -67,6 +67,7 @@ class AdaptiveLog:
     tolerance: float
     converged: bool = False
     iterations: list = field(default_factory=list)
+    sampled: bool = False  # the error sweeps sampled the grid (model.sweep_is_sampled)
 
     def to_dict(self):
         return {
@@ -83,6 +84,7 @@ class AdaptiveLog:
                 }
                 for it in self.iterations
             ],
+            **({"sampled": True} if self.sampled else {}),
         }
 
 
@@ -155,6 +157,8 @@ def fit_direct(source, opts=None):
 def fit_adaptive(source, tol, opts=None):
     """Greedy support enrichment until the grid sweep error meets ``tol``.
 
+    Each sweep is :func:`model.max_error` seeded by ``opts.seed``, sampled on large grids.
+
     Returns ``(model, log)``; raises :class:`NotConvergedError` (carrying
     the best model and the log) when every coordinate of the worst tuple
     is already a support point, or when promoting would leave a variable
@@ -166,7 +170,7 @@ def fit_adaptive(source, tol, opts=None):
     _require_disjoint(source)
     grids = source.grids
     chosen = [[complex(g.column_points[0])] for g in grids]
-    log = AdaptiveLog(method=opts.nullspace_method, tolerance=float(tol))
+    log = AdaptiveLog(opts.nullspace_method, float(tol), sampled=sweep_is_sampled(source))
     added = {g.name: chosen[l][0] for l, g in enumerate(grids)}
     best = None
 
@@ -181,7 +185,7 @@ def fit_adaptive(source, tol, opts=None):
                 best_model=None if best is None else best[1],
                 log=log,
             ) from exc
-        error, argmax = max_error(model, source)
+        error, argmax = max_error(model, source, opts.seed)
         cascaded = opts.nullspace_method == "cascaded"
         flops = report.cascaded_flops if cascaded else report.full_flops
         log.iterations.append(

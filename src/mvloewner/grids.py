@@ -12,6 +12,7 @@ because every divided difference divides by a point difference.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,7 +414,7 @@ def source_from_dict(data):
         raise GridError("data file needs either an 'expression' or a 'values' entry")
     flat = _pairs_to_complex(data["values"], "values")
     extents = tuple(g.union_points.size for g in grids)
-    expected = int(np.prod(extents))
+    expected = math.prod(extents)
     if flat.size != expected:
         raise GridError(f"value list has {flat.size} entries, expected {expected}")
     return DenseSource(Tableau(grids, flat.reshape(extents)))

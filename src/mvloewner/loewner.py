@@ -130,11 +130,10 @@ def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
     entries = np.empty((rows, cols), dtype=complex)
     # the rows of one variable-0 row point, and how many such slabs make a block
     per_slab = math.prod(selection.row_counts[1:])
-    step = max(1, model.SWEEP_CHUNK_BYTES // max(1, BYTES_PER_ENTRY * per_slab * cols))
-    for start in range(0, selection.row_counts[0], step):
-        block = slice(start * per_slab, (start + step) * per_slab)
+    for slabs in model._blocks(selection.row_counts[0], BYTES_PER_ENTRY * per_slab * cols):
+        block = slice(slabs.start * per_slab, slabs.stop * per_slab)
         np.subtract(v[block, None], w[None, :], out=entries[block])
-        entries[block] /= _kron_of([diff_mats[0][start : start + step], *diff_mats[1:]])
+        entries[block] /= _kron_of([diff_mats[0][slabs], *diff_mats[1:]])
     return LoewnerMatrix(entries, selection.col_points, selection.row_points)
 
 
@@ -175,11 +174,10 @@ def sylvester_residual(lm, ops):
     ``model.SWEEP_CHUNK_BYTES`` together.
     """
     rows, cols = lm.shape
-    step = max(1, min(rows, model.SWEEP_CHUNK_BYTES // max(1, 2 * BYTES_PER_ENTRY * cols)))
-    x, t = np.empty((2, step, cols), dtype=complex)  # the chain's block and its temporary
+    blocks = model._blocks(rows, 2 * BYTES_PER_ENTRY * cols)
+    x, t = np.empty((2, blocks[0].stop if blocks else 0, cols), dtype=complex)  # block, temporary
     num = denom = 0.0
-    for start in range(0, rows, step):
-        block = slice(start, start + step)
+    for block in blocks:
         entries = lm.entries[block]
         xb, tb = x[: len(entries)], t[: len(entries)]
         np.multiply(ops.mu_diags[0][block, None], entries, out=xb)

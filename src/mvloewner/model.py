@@ -27,6 +27,8 @@ from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
 
 POLE_THRESHOLD = 1e-300
 SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its peak memory)
+FULL_SWEEP_TUPLES = 100_000  # larger union grids are swept at SWEEP_SAMPLES seeded tuples
+SWEEP_SAMPLES = 5_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +135,12 @@ def _contract_points(weights, factors):
     return tensor.reshape(count, 2)
 
 
+def _blocks(count, item_bytes):
+    """Slices of ``range(count)``, each about ``SWEEP_CHUNK_BYTES`` of ``item_bytes`` items."""
+    step = max(1, SWEEP_CHUNK_BYTES // max(1, item_bytes))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _as_points(points, n_vars):
     """``points`` as one point ``(n,)`` or a batch ``(P, n)`` of complex coordinates."""
     array = np.asarray(points, dtype=complex)
@@ -149,12 +157,10 @@ def _eval_points(weights, supports, points):
     Overflow and invalid values are not warned about: they end as
     non-finite values, which the callers report.
     """
-    # each point's intermediate holds 2 * K / k_last complex sums
-    chunk = max(1, SWEEP_CHUNK_BYTES // (weights.nbytes // supports[-1].size))
     sums = np.empty((points.shape[0], 2), dtype=complex)
-    for start in range(0, points.shape[0], chunk):
-        factors = _point_factors(supports, points[start : start + chunk])
-        sums[start : start + chunk] = _contract_points(weights, factors)
+    # each point's intermediate holds 2 * K / k_last complex sums
+    for block in _blocks(points.shape[0], weights.nbytes // supports[-1].size):
+        sums[block] = _contract_points(weights, _point_factors(supports, points[block]))
     return _quotient(sums[:, 0], sums[:, 1])
 
 
@@ -223,22 +229,34 @@ def _first_worst(mismatch):
     return index, float(mismatch[index])
 
 
-def max_error(model, source):
-    """Largest mismatch against a data source over its full union grids.
+def sweep_is_sampled(source):
+    """Whether :func:`max_error` samples ``source`` instead of sweeping its union grids whole."""
+    return math.prod(g.union_points.size for g in source.grids) > FULL_SWEEP_TUPLES
 
-    Returns ``(error, point)`` where ``point`` is the first maximizing
-    union-grid tuple in row-major order.  A pole or a value lost to
-    overflow on the sweep reports an infinite error at its location.  The
-    grid is swept in slabs of variable 0 of about ``SWEEP_CHUNK_BYTES`` each.
+
+def max_error(model, source, seed=0):
+    """Largest mismatch against a data source over its union grids, as ``(error, point)``.
+
+    A pole or a value lost to overflow reports an infinite error at its
+    location.  Grids of at most ``FULL_SWEEP_TUPLES`` tuples are swept whole,
+    in variable-0 slabs of about ``SWEEP_CHUNK_BYTES``, and ``point`` is the
+    first maximizing tuple in row-major order; larger ones (see
+    :func:`sweep_is_sampled`) at ``SWEEP_SAMPLES`` tuples drawn by
+    ``np.random.default_rng(seed)``, and ``point`` is the first worst draw.
     """
     pools = [g.union_points for g in source.grids]
-    # one complex denominator and numerator per tuple of a variable-0 row
-    per_row = 2 * 16 * math.prod(p.size for p in pools[1:])
-    slab = max(1, SWEEP_CHUNK_BYTES // per_row)
+    if sweep_is_sampled(source):
+        sizes = [p.size for p in pools]
+        indices = np.random.default_rng(seed).integers(0, sizes, size=(SWEEP_SAMPLES, len(sizes)))
+        points = np.stack([p[indices[:, l]] for l, p in enumerate(pools)], axis=1)
+        mismatch = np.abs(eval_model(model, points) - source.values_at_indices(indices))
+        index, error = _first_worst(mismatch)
+        return error, tuple(points[index])
     best = -1.0
     best_point = None
-    for start in range(0, pools[0].size, slab):
-        block = [pools[0][start : start + slab], *pools[1:]]
+    # one complex denominator and numerator per tuple of a variable-0 row
+    for slab in _blocks(pools[0].size, 2 * 16 * math.prod(p.size for p in pools[1:])):
+        block = [pools[0][slab], *pools[1:]]
         values = _eval_on_grid(model, block)
         index, worst = _first_worst(np.abs(values - source.values_on_product(block)).reshape(-1))
         if worst > best:

@@ -148,6 +148,7 @@ def test_fit_adaptive_writes_log(synth2d_file, tmp_path, capsys):
     assert summary["flops"] == [2, 10, 51, 172, 445]
     log = json.loads(log_path.read_text())
     assert log["converged"] is True and len(log["iterations"]) == 5
+    assert "sampled" not in log  # 441 tuples are swept whole
 
 
 def test_fit_adaptive_generous_tolerance(synth2d_file, tmp_path, capsys):
@@ -528,3 +529,81 @@ def test_overflowing_numerator_weights_are_an_input_error(tmp_path, capsys):
     assert main(["eval", "--model", model, "--point", "0.25"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "c * w are not finite" in captured.err
+
+
+def test_fit_adaptive_samples_a_grid_above_the_full_sweep_threshold(tmp_path, capsys):
+    """18**4 = 104,976 union tuples: every sweep samples, and the model still verifies."""
+    names = ["a", "b", "c", "d"]
+    doc = {
+        "variables": [
+            {
+                "name": v,
+                "lambda": [[x, 0] for x in np.linspace(0.1, 1.0, 9)],
+                "mu": [[x, 0] for x in np.linspace(0.15, 1.05, 9)],
+            }
+            for v in names
+        ],
+        "expression": "(1+a*b*c*d)/(3+a+b-c*d)",
+    }
+    oracle = _write_json(tmp_path / "oracle.json", doc)
+    model, log_path = str(tmp_path / "model.json"), tmp_path / "log.json"
+    argv = ["fit-adaptive", "--oracle", oracle, "--tol", "1e-8", "--out", model]
+    assert main([*argv, "--log", str(log_path)]) == 0
+    log = json.loads(log_path.read_text())
+    assert log["converged"] is True and log["sampled"] is True
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--oracle", oracle]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["sweep"]["sampled"] is True
+
+
+# 4**32 union tuples: the count wraps to 0 in 64-bit integers
+WIDE_GRIDS = [
+    {"name": f"x{l + 1}", "lambda": [[1, 0], [2, 0]], "mu": [[1.5, 0], [2.5, 0]]} for l in range(32)
+]
+
+
+def test_verify_samples_a_grid_whose_tuple_count_wraps(tmp_path, capsys, monkeypatch):
+    def full_sweep(*args):
+        raise AssertionError("a grid of 4**32 tuples must not be swept whole")
+
+    monkeypatch.setattr("mvloewner.model._eval_on_grid", full_sweep)
+    oracle = _write_json(tmp_path / "oracle.json", {"variables": WIDE_GRIDS, "expression": "1+0*x1"})
+    one_support = {
+        "variables": [g["name"] for g in WIDE_GRIDS],
+        "support": [[[1, 0]] for _ in WIDE_GRIDS],
+        "c": [[1, 0]],
+        "w": [[1, 0]],
+    }
+    model = _write_json(tmp_path / "model.json", one_support)
+    assert main(["verify", "--model", model, "--oracle", oracle]) == 0
+    sweep = json.loads(capsys.readouterr().out)["checks"]["sweep"]
+    assert sweep["sampled"] is True and sweep["ok"] is True
+
+
+def test_a_dense_value_count_is_checked_without_wrapping(tmp_path, capsys):
+    data = _write_json(tmp_path / "dense.json", {"variables": WIDE_GRIDS, "values": []})
+    assert main(["order-detect", "--data", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value list has 0 entries, expected 18446744073709551616" in captured.err
+
+
+def test_data_and_oracle_are_one_input_option(oracle_2d_file, tmp_path, capsys):
+    written = []
+    for flag in ("--data", "--oracle"):
+        out = tmp_path / f"model{flag}.json"
+        assert main(["fit", flag, oracle_2d_file, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    capsys.readouterr()
+    model = str(tmp_path / "model--data.json")
+    for argv in (
+        ["fit", "--out", str(tmp_path / "m.json")],
+        ["fit-adaptive", "--tol", "1e-6", "--out", str(tmp_path / "m.json")],
+        ["verify", "--model", model],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--data/--oracle" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

@@ -314,7 +314,7 @@ def test_vectorized_draw_equals_per_sample_draws(seed, sizes):
 
 
 def test_sampled_verify_sweep_matches_per_sample_loop(tmp_path, capsys):
-    """Above 100,000 tuples verify samples 5,000 of them; same draw, same maximizer."""
+    """Above 100,000 tuples verify and max_error sample 5,000 of them; same draw, same maximizer."""
     names = ["a", "b", "c", "d"]
     expression = "1/(1+a^2+b*c)+d/(d+3)"
     grids = [
@@ -336,3 +336,6 @@ def test_sampled_verify_sweep_matches_per_sample_loop(tmp_path, capsys):
     error, location = loop_sampled_sweep(model, source, 5, 5000)
     assert sweep["argmax"] == [[float(v.real), float(v.imag)] for v in location]
     assert abs(sweep["max_error"] - error) <= ABS_TOL + REL_TOL * error
+    library_error, library_location = max_error(model, source, seed=5)
+    assert library_location == location
+    assert abs(library_error - error) <= ABS_TOL + REL_TOL * error
