@@ -73,7 +73,6 @@ from .realize import (
     GeneralizedRealization,
     PseudoCompanion,
     VariableSplit,
-    arrange_coefficients,
     build_pseudo_companion,
     build_realization,
     check_r_minimality,

@@ -307,8 +307,8 @@ def _level_pass(source, selection, order, anchors, rel_tol):
                     source.grids[l].name: p[0] for l, p in enumerate(per_var) if l != variable
                 }
                 raise DegenerateNullspaceError(
-                    f"ambiguous 1-D null space along variable "
-                    f"{source.grids[variable].name!r} ({result.note})",
+                    f"ambiguous 1-D null space along variable {source.grids[variable].name!r} "
+                    f"(null space has dimension {k - result.rank})",
                     context=frozen_desc,
                 )
             if result.anchor != anchors[variable]:

@@ -49,7 +49,6 @@ class FitResult:
     realization: object
     report: object
     degrees: tuple
-    weights: np.ndarray
 
 
 @dataclass
@@ -151,7 +150,7 @@ def fit_direct(source, opts=None):
     model, report = _fit_selection(source, Selection.spread_columns(source, counts), opts)
     degrees_final = tuple(k - 1 for k in model.counts)
     realization = build_realization(model, opts.split)
-    return FitResult(model, realization, report, degrees_final, model.weights_c)
+    return FitResult(model, realization, report, degrees_final)
 
 
 def fit_adaptive(source, tol, opts=None):

@@ -32,11 +32,9 @@ DEFAULT_MEMORY_GUARD = 256 * 2**20
 
 @dataclass(frozen=True, eq=False)
 class LoewnerMatrix:
-    """Dense Loewner matrix plus the point selection it was built from."""
+    """Dense Loewner matrix (or a stack of them) as its ``entries``."""
 
     entries: np.ndarray
-    col_points: tuple
-    row_points: tuple
 
     @property
     def shape(self):
@@ -56,9 +54,6 @@ class SylvesterOperands:
     mu_diags: tuple
     w: np.ndarray
     v: np.ndarray
-
-    def lambda_matrix(self, l):
-        return np.diag(self.lambda_diags[l])
 
 
 def _check_disjoint_1d(col_pts, row_pts):
@@ -83,7 +78,7 @@ def build_loewner_1d(col_pts, row_pts, col_vals, row_vals):
         raise GridError("point and value lists must have matching lengths")
     diffs = _check_disjoint_1d(col_pts, row_pts)
     entries = (v[..., :, None] - w[..., None, :]) / diffs
-    return LoewnerMatrix(entries, (col_pts,), (row_pts,))
+    return LoewnerMatrix(entries)
 
 
 def _kron_of(vectors_or_matrices):
@@ -91,17 +86,17 @@ def _kron_of(vectors_or_matrices):
     return functools.reduce(np.kron, vectors_or_matrices)
 
 
-def _guard_dense(rows, cols, memory_guard=DEFAULT_MEMORY_GUARD):
-    """Refuse a dense ``rows``-by-``cols`` complex matrix past ``memory_guard`` bytes.
+def _guard_dense(rows, cols):
+    """Refuse a dense ``rows``-by-``cols`` complex matrix past ``DEFAULT_MEMORY_GUARD`` bytes.
 
-    ``None`` disables the guard.  The refusal carries the estimate.
+    The refusal carries the estimate.
     """
     estimate = BYTES_PER_ENTRY * rows * cols
-    if memory_guard is not None and estimate > memory_guard:
-        raise MemoryGuardError(estimate, memory_guard)
+    if estimate > DEFAULT_MEMORY_GUARD:
+        raise MemoryGuardError(estimate, DEFAULT_MEMORY_GUARD)
 
 
-def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
+def build_loewner_nd(source, selection=None):
     """Dense n-D Loewner matrix of ``source`` over a point selection.
 
     The matrix is filled in blocks of whole variable-0 row slabs of about
@@ -113,14 +108,17 @@ def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
     source : DataSource
     selection : Selection, optional
         Defaults to all stored columns versus all stored rows.
-    memory_guard : int
-        Maximum dense size in bytes; a larger build raises
-        :class:`MemoryGuardError` carrying the estimate.
+
+    Raises
+    ------
+    MemoryGuardError
+        If the matrix would exceed ``DEFAULT_MEMORY_GUARD`` bytes; it
+        carries the estimate.
     """
     if selection is None:
         selection = Selection.full(source)
     rows, cols = math.prod(selection.row_counts), math.prod(selection.counts)
-    _guard_dense(rows, cols, memory_guard)
+    _guard_dense(rows, cols)
     diff_mats = [
         _check_disjoint_1d(col_pts, row_pts)
         for col_pts, row_pts in zip(selection.col_points, selection.row_points)
@@ -134,7 +132,7 @@ def build_loewner_nd(source, selection=None, memory_guard=DEFAULT_MEMORY_GUARD):
         block = slice(slabs.start * per_slab, slabs.stop * per_slab)
         np.subtract(v[block, None], w[None, :], out=entries[block])
         entries[block] /= _kron_of([diff_mats[0][slabs], *diff_mats[1:]])
-    return LoewnerMatrix(entries, selection.col_points, selection.row_points)
+    return LoewnerMatrix(entries)
 
 
 def build_sylvester_operands(source, selection=None):
@@ -213,8 +211,9 @@ class NullspaceResult:
     ``vector`` is normalized so its anchor entry equals one; if the
     requested anchor entry was negligible the vector is re-anchored at its
     largest entry and ``anchor`` reports the index actually used.
-    ``degenerate`` is set whenever the null-space dimension is not exactly
-    one at the given tolerance (no null vector, or more than one).
+    ``degenerate`` is set whenever the null-space dimension ``k - rank`` is
+    not exactly one at the given tolerance (no null vector, or more than
+    one; an all-zero matrix has rank 0).
     """
 
     vector: np.ndarray
@@ -223,11 +222,13 @@ class NullspaceResult:
     sigma_next: float
     anchor: int
     degenerate: bool
-    note: str = ""
 
 
 def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
-    """Null-space direction of a dense matrix via full SVD.
+    """Null-space direction of a dense matrix via its SVD.
+
+    Only the right factor is kept whole: a tall matrix gets the thin SVD,
+    so no ``q``-by-``q`` left factor is allocated.
 
     Parameters
     ----------
@@ -245,33 +246,18 @@ def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
     q, k = matrix.shape
     if k == 0 or q == 0:
         raise GridError("empty matrix has no null-space direction")
-    _, sigma, vh = np.linalg.svd(matrix)
-    smax = sigma[0] if sigma.size else 0.0
+    # a wide matrix's null space lies in the rows of V^H past q
+    _, sigma, vh = np.linalg.svd(matrix, full_matrices=q < k)
     rank = int(numerical_rank(sigma, rel_tol))
     vector = np.conj(vh[-1])
-    sigma_min = float(sigma[-1]) if sigma.size else 0.0
     sigma_next = float(sigma[-2]) if sigma.size > 1 else math.inf
-    nullity = k - rank
-    degenerate = nullity != 1
-    note = ""
-    if smax == 0.0:
-        degenerate = True
-        note = "all-zero matrix; vector is arbitrary"
-        if k == 1:
-            # a single support point has the unique trivial weight
-            degenerate = False
-            note = ""
-    elif nullity == 0:
-        note = "no null vector at this tolerance; smallest singular direction returned"
-    elif nullity > 1:
-        note = f"null space has dimension {nullity}"
 
     anchor_idx = anchor % k
     peak = float(np.max(np.abs(vector)))
     if abs(vector[anchor_idx]) < 1e-10 * peak:
         anchor_idx = int(np.argmax(np.abs(vector)))
     vector = vector / vector[anchor_idx]
-    return NullspaceResult(vector, rank, sigma_min, sigma_next, anchor_idx, degenerate, note)
+    return NullspaceResult(vector, rank, float(sigma[-1]), sigma_next, anchor_idx, k - rank != 1)
 
 
 @dataclass(frozen=True)

@@ -161,20 +161,6 @@ def multi_indices(split):
     return i_list, j_list
 
 
-def arrange_coefficients(model, split):
-    """Arrange model weights into the (A_lag, B_lag) coefficient blocks.
-
-    Entry ``(q, r)`` of ``A_lag`` is the denominator weight at the full
-    multi-index combining ``I_q`` and ``J_r`` (see :func:`multi_indices`);
-    ``B_lag`` likewise from the numerator weights.  Both are unfoldings of
-    the weight tensor with the left variables as rows and the right ones
-    as columns.  With a single variable, ``A_lag`` is the row ``-c^T`` and
-    ``B_lag`` is empty.
-    """
-    realization = build_realization(model, split)
-    return realization.a_lag, realization.b_lag
-
-
 def _kron_eval(companions, values):
     return _kron_of([comp.evaluate(value) for comp, value in zip(companions, values)])
 
@@ -206,6 +192,14 @@ class GeneralizedRealization:
 
     @property
     def a_lag(self):
+        """``ell``-by-``kappa`` denominator weights.
+
+        Entry ``(q, r)`` is the weight at the full multi-index combining
+        ``I_q`` and ``J_r`` (see :func:`multi_indices`); ``b_lag`` likewise
+        holds the numerator weights.  Both unfold the weight tensor with
+        the left variables as rows and the right ones as columns.  With a
+        single variable, ``a_lag`` is the row ``-c^T``.
+        """
         return self.weights[0].reshape(self.split.ell, self.split.kappa)
 
     @property

@@ -245,7 +245,7 @@ def test_cascade_degenerate_when_orders_too_high():
             VariableGrid("t", [0.5, 1.5, 2.5], [3.5, 4.5, 5.5]),
         ],
     )
-    with pytest.raises(DegenerateNullspaceError) as info:
+    with pytest.raises(DegenerateNullspaceError, match=r"\(null space has dimension 2\)") as info:
         cascaded_nullspace(source, degrees=[2, 2])
     assert info.value.context is not None
 

@@ -26,7 +26,7 @@ from synthetic import densify_model, random_model
 
 def test_fit_direct_recovers_2d_example(source_2d):
     result = fit_direct(source_2d, FitOptions(degrees=(2, 1)))
-    rescaled = result.weights / result.weights[-1]
+    rescaled = result.model.weights_c / result.model.weights_c[-1]
     np.testing.assert_allclose(rescaled.real, C2_EXPECTED, atol=1e-10)
     assert result.realization.order == 6
     error, _ = max_error(result.model, source_2d.densify())

@@ -99,11 +99,13 @@ def test_build_nd_single_variable_matches_1d_bitwise(source_1d):
     np.testing.assert_array_equal(nd.entries, direct.entries)
 
 
-def test_memory_guard_refuses_large_build(source_synth2d):
+def test_memory_guard_refuses_large_build(source_synth2d, monkeypatch):
+    monkeypatch.setattr("mvloewner.loewner.DEFAULT_MEMORY_GUARD", 100)
     selection = Selection.full(source_synth2d)
     with pytest.raises(MemoryGuardError) as info:
-        build_loewner_nd(source_synth2d, selection, memory_guard=100)
+        build_loewner_nd(source_synth2d, selection)
     assert info.value.estimated_bytes == 16 * (11 * 11) * (10 * 10)
+    assert info.value.limit_bytes == 100
 
 
 def test_sylvester_operands_1d(source_1d):
@@ -116,9 +118,9 @@ def test_sylvester_operands_1d(source_1d):
 def test_sylvester_operands_kronecker_layout(source_2d):
     ops = build_sylvester_operands(source_2d)
     expected = np.kron(np.diag([1, 3, 5]), np.eye(2))
-    np.testing.assert_array_equal(ops.lambda_matrix(0), expected)
+    np.testing.assert_array_equal(np.diag(ops.lambda_diags[0]), expected)
     expected_second = np.kron(np.eye(3), np.diag([-1, -3]))
-    np.testing.assert_array_equal(ops.lambda_matrix(1), expected_second)
+    np.testing.assert_array_equal(np.diag(ops.lambda_diags[1]), expected_second)
 
 
 def test_sylvester_operands_singleton_grids():
@@ -145,9 +147,7 @@ def test_sylvester_residual_detects_perturbation(source_2d):
     ops = build_sylvester_operands(source_2d)
     perturbed = lm.entries.copy()
     perturbed[2, 3] += 1.0
-    from mvloewner import LoewnerMatrix
-
-    bad = LoewnerMatrix(perturbed, lm.col_points, lm.row_points)
+    bad = LoewnerMatrix(perturbed)
     assert sylvester_residual(bad, ops) > 0.01
 
 
@@ -214,7 +214,7 @@ def test_blocked_residual_detects_a_perturbed_entry_in_the_last_block(source_3d)
         assert sylvester_residual(lm, ops) <= 1e-13
         perturbed = lm.entries.copy()
         perturbed[-1, -1] += 1.0
-        bad = LoewnerMatrix(perturbed, lm.col_points, lm.row_points)
+        bad = LoewnerMatrix(perturbed)
         assert sylvester_residual(bad, ops) > 0.01
 
 
@@ -276,6 +276,52 @@ def test_nullspace_reanchors_when_anchor_entry_vanishes():
     result = nullspace_vector(matrix, anchor=-1)
     assert result.anchor != 2
     assert abs(result.vector[result.anchor] - 1) < 1e-14
+
+
+def test_nullspace_of_a_tall_matrix_holds_no_square_left_factor():
+    # a full SVD would allocate a 3000 x 3000 left factor: 137 MiB
+    rng = np.random.default_rng(11)
+    matrix = rng.normal(size=(3000, 10)) + 1j * rng.normal(size=(3000, 10))
+    result, peak = _traced_peak(lambda: nullspace_vector(matrix))
+    assert peak <= 2 * matrix.nbytes
+    assert result.rank == 10 and result.degenerate
+
+
+def _full_svd_reference(matrix, anchor=-1):
+    """Null vector, rank, anchor, smallest singular value and flag from the full SVD."""
+    k = matrix.shape[1]
+    _, sigma, vh = np.linalg.svd(matrix, full_matrices=True)
+    rank = int(np.sum(sigma > 1e-8 * sigma[0]))
+    if sigma[0] == 0.0:
+        degenerate = k != 1  # one support point has the unique trivial weight
+    else:
+        degenerate = k - rank != 1
+    vector = np.conj(vh[-1])
+    index = anchor % k
+    if abs(vector[index]) < 1e-10 * np.max(np.abs(vector)):
+        index = int(np.argmax(np.abs(vector)))
+    return vector / vector[index], rank, index, float(sigma[-1]), degenerate
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_nullspace_of_square_and_wide_matrices_matches_the_full_svd(seed, k, data):
+    q = data.draw(st.integers(1, k))
+    rank = data.draw(st.integers(0, q))
+    rng = np.random.default_rng(seed)
+    left = rng.normal(size=(q, rank)) + 1j * rng.normal(size=(q, rank))
+    right = rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
+    matrix = left @ right
+    anchor = data.draw(st.integers(-k, k - 1))
+    result = nullspace_vector(matrix, anchor=anchor)
+    vector, expected_rank, expected_anchor, sigma_min, degenerate = _full_svd_reference(
+        matrix, anchor
+    )
+    assert result.vector.tobytes() == vector.tobytes()
+    assert result.rank == expected_rank
+    assert result.anchor == expected_anchor
+    assert result.sigma_min == sigma_min
+    assert result.degenerate == degenerate
 
 
 def test_detect_orders_on_worked_examples(source_2d, source_synth2d):

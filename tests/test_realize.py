@@ -15,7 +15,6 @@ from mvloewner import (
     GridError,
     MemoryGuardError,
     PoleError,
-    arrange_coefficients,
     build_loewner_nd,
     build_pseudo_companion,
     build_realization,
@@ -208,7 +207,8 @@ def test_split_validation():
 
 def test_arrange_coefficients_2d(source_2d):
     model = _model_from_source(source_2d)
-    a_lag, b_lag = arrange_coefficients(model, make_split((0,), model.counts))
+    realization = build_realization(model, make_split((0,), model.counts))
+    a_lag, b_lag = realization.a_lag, realization.b_lag
     np.testing.assert_allclose(
         a_lag.real, [[-1 / 3, 10 / 9, -7 / 9], [5 / 9, -14 / 9, 1]], atol=1e-11
     )
@@ -249,8 +249,9 @@ def test_arrange_coefficients_matches_enumeration(counts, seed):
         rng.normal(size=size) + 1j * rng.normal(size=size),
     )
     for split in _all_splits(model.counts):
+        realization = build_realization(model, split)
         for got, expected in zip(
-            arrange_coefficients(model, split), _arrange_by_enumeration(model, split)
+            (realization.a_lag, realization.b_lag), _arrange_by_enumeration(model, split)
         ):
             assert got.shape == expected.shape
             np.testing.assert_array_equal(got, expected)
@@ -258,7 +259,8 @@ def test_arrange_coefficients_matches_enumeration(counts, seed):
 
 def test_arrange_coefficients_single_variable(source_1d):
     model = _model_from_source(source_1d)
-    a_lag, b_lag = arrange_coefficients(model, make_split((0,), model.counts))
+    realization = build_realization(model, make_split((0,), model.counts))
+    a_lag, b_lag = realization.a_lag, realization.b_lag
     np.testing.assert_allclose(a_lag.real, [[-1 / 3, 4 / 3, -1]], atol=1e-12)
     assert b_lag.shape == (0, 3)
 
