@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateNullspaceError, GridError
 from .grids import Selection, _check_degrees
-from .loewner import BYTES_PER_ENTRY, DEFAULT_RANK_TOL, build_loewner_1d, nullspace_vector
+from .loewner import BYTES_PER_ENTRY, build_loewner_1d, nullspace_vector
 
 _MAX_REANCHOR_PASSES = 8
 
@@ -203,14 +203,10 @@ class CascadeResult:
     anchors: tuple  # anchor support index per variable, original order
 
 
-def cascaded_nullspace(
-    source,
-    degrees=None,
-    selection=None,
-    order=None,
-    rel_tol=DEFAULT_RANK_TOL,
-):
+def cascaded_nullspace(source, degrees=None, selection=None, order=None):
     """Weight vector of the n-D Loewner matrix via the 1-D cascade.
+
+    The 1-D null spaces are ranked at ``DEFAULT_RANK_TOL``.
 
     Parameters
     ----------
@@ -223,11 +219,6 @@ def cascaded_nullspace(
     order : sequence of int, optional
         Recursion order (a :func:`resolve_order` spec); defaults to
         descending support count (the flop-optimal order).
-    rel_tol : float
-        Rank tolerance for the 1-D null spaces.  Each variable is first
-        anchored at its last column point; a variable whose anchor weight
-        vanishes is re-anchored at the largest entry and the cascade
-        restarts.
 
     Returns
     -------
@@ -235,6 +226,9 @@ def cascaded_nullspace(
         Assembled weights (flattened variable 0 slowest, anchor entries
         normalized so the all-anchor entry is one), the per-variable
         factors, the flop/byte report, and the anchors finally used.
+        Each variable is first anchored at its last column point; a
+        variable whose anchor weight vanishes is re-anchored at the
+        largest entry and the cascade restarts.
 
     Raises
     ------
@@ -254,7 +248,7 @@ def cascaded_nullspace(
     anchors = [k - 1 for k in counts]
 
     for _ in range(max(_MAX_REANCHOR_PASSES, 2 * sum(counts))):
-        factors, reanchor = _level_pass(source, selection, order, anchors, rel_tol)
+        factors, reanchor = _level_pass(source, selection, order, anchors)
         if reanchor is None:
             break
         variable, index = reanchor
@@ -275,7 +269,7 @@ def cascaded_nullspace(
     return CascadeResult(weights, decoupled, report, tuple(anchors))
 
 
-def _level_pass(source, selection, order, anchors, rel_tol):
+def _level_pass(source, selection, order, anchors):
     """One pass of the cascade over the levels of the recursion order.
 
     Level ``l`` solves one 1-D null space along ``order[l]`` per support
@@ -301,7 +295,7 @@ def _level_pass(source, selection, order, anchors, rel_tol):
             per_var[variable] = rows[variable]
             row_vals = source.values_on_product(per_var).reshape(-1)
             lm = build_loewner_1d(cols[variable], rows[variable], col_vals, row_vals)
-            result = nullspace_vector(lm, rel_tol, anchor=anchors[variable])
+            result = nullspace_vector(lm, anchor=anchors[variable])
             if result.rank < k - 1:
                 frozen_desc = {
                     source.grids[l].name: p[0] for l, p in enumerate(per_var) if l != variable

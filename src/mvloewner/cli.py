@@ -23,7 +23,13 @@ from .cascade import make_flop_report
 from .driver import FitOptions, fit_adaptive, fit_direct
 from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError
 from .grids import Selection, _complex_to_pairs, load_source
-from .loewner import build_loewner_nd, build_sylvester_operands, detect_orders, sylvester_residual
+from .loewner import (
+    _guard_dense,
+    build_loewner_nd,
+    build_sylvester_operands,
+    detect_orders,
+    sylvester_residual,
+)
 from .model import _eval_on_grid, eval_model, load_model, max_error, model_to_dict, sweep_is_sampled
 from .realize import (
     build_realization,
@@ -190,6 +196,8 @@ def cmd_realize(args):
 
 
 def cmd_verify(args):
+    if not args.tol >= 0:
+        raise MvLoewnerError(f"sweep tolerance must be a non-negative number, got {args.tol}")
     source = load_source(args.data)
     model = load_model(args.model)
     checks = {}
@@ -279,7 +287,11 @@ def cmd_plot_data(args):
     if args.frozen:
         for item in args.frozen.split(","):
             key, _, value = item.partition("=")
-            frozen[key.strip()] = _finite_complex(value)
+            key = key.strip()
+            if key not in names:
+                raise MvLoewnerError(f"unknown frozen variable {key!r}")
+            frozen[key] = _finite_complex(value)
+    _guard_dense(count, len(names))  # the (count, n) sweep points
     sweep_index = names.index(name)
     sweep = np.linspace(lo, hi, count)
     columns = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .cascade import cascaded_nullspace, make_flop_report, resolve_order
 from .errors import DegenerateNullspaceError, GridError, NotConvergedError
 from .grids import Selection, _check_degrees, _complex_to_pairs, check_disjoint
-from .loewner import DEFAULT_RANK_TOL, build_loewner_nd, detect_orders, nullspace_vector
+from .loewner import build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error, sweep_is_sampled
 from .realize import build_realization
 
@@ -30,15 +30,12 @@ class FitOptions:
 
     nullspace_method: str = "cascaded"  # "cascaded" | "full"
     variable_order: object = "auto"  # a cascade.resolve_order spec
-    rel_tol: float = DEFAULT_RANK_TOL
     degrees: tuple | None = None
     order_sample_budget: int = 10
     seed: int = 0
     split: object = "first"  # a realize.resolve_split spec
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
         if self.nullspace_method not in ("cascaded", "full"):
             raise ValueError(f"unknown null-space method {self.nullspace_method!r}")
 
@@ -103,13 +100,11 @@ def _fit_selection(source, selection, opts):
     counts = selection.counts
     order = resolve_order(opts.variable_order, counts)
     if opts.nullspace_method == "cascaded":
-        result = cascaded_nullspace(
-            source, selection=selection, order=order, rel_tol=opts.rel_tol
-        )
+        result = cascaded_nullspace(source, selection=selection, order=order)
         weights, report = result.weights, result.report
     else:
         lm = build_loewner_nd(source, selection)
-        result = nullspace_vector(lm, opts.rel_tol)
+        result = nullspace_vector(lm)
         if result.rank < math.prod(counts) - 1:
             raise DegenerateNullspaceError(
                 f"null space of the full matrix has dimension "
@@ -128,10 +123,7 @@ def fit_direct(source, opts=None):
     if opts.degrees is not None:
         degrees = _check_degrees(source, opts.degrees)
     else:
-        estimate = detect_orders(
-            source, opts.order_sample_budget, opts.rel_tol, opts.seed
-        )
-        degrees = estimate.degrees
+        degrees = detect_orders(source, opts.order_sample_budget, seed=opts.seed).degrees
     counts = []
     for grid, d in zip(source.grids, degrees):
         available = grid.union_points.size
@@ -164,8 +156,8 @@ def fit_adaptive(source, tol, opts=None):
     with fewer row points than supports.
     """
     opts = opts or FitOptions()
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be a positive number, got {tol}")
     _require_disjoint(source)
     grids = source.grids
     chosen = [[complex(g.column_points[0])] for g in grids]

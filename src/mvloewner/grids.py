@@ -301,17 +301,14 @@ class Selection:
 
     @classmethod
     def from_supports(cls, source, supports):
-        """The given grid points as columns, every other union point as rows."""
+        """The given grid points as columns, every other union point as rows, in union order."""
         rows = [np.delete(g.union_points, g.indices_of(s)) for g, s in zip(source.grids, supports)]
         return cls(supports, rows)
 
     @classmethod
     def full(cls, source):
         """All stored columns as columns, all stored rows as rows."""
-        return cls(
-            [g.column_points for g in source.grids],
-            [g.row_points for g in source.grids],
-        )
+        return cls.from_supports(source, [g.column_points for g in source.grids])
 
     @classmethod
     def spread_columns(cls, source, counts):
@@ -319,9 +316,9 @@ class Selection:
 
         Support points clustered at one end of the domain condition the
         weight systems badly; striding keeps the endpoints and spreads the
-        interior.  Leftover column points join the rows.
+        interior.  Leftover column points join the rows, ahead of the row points.
         """
-        cols, rows = [], []
+        supports = []
         for grid, k in zip(source.grids, counts):
             k = int(k)
             lam = grid.column_points
@@ -330,12 +327,8 @@ class Selection:
                     f"variable {grid.name!r} has {lam.size} column points, cannot select {k}"
                 )
             # a stride of at least 1 keeps the rounded indices distinct
-            idx = np.round(np.linspace(0, lam.size - 1, k)).astype(int)
-            mask = np.ones(lam.size, dtype=bool)
-            mask[idx] = False
-            cols.append(lam[idx])
-            rows.append(np.concatenate([lam[mask], grid.row_points]))
-        return cls(cols, rows)
+            supports.append(lam[np.round(np.linspace(0, lam.size - 1, k)).astype(int)])
+        return cls.from_supports(source, supports)
 
 
 # --- JSON interchange ---------------------------------------------------

@@ -224,8 +224,8 @@ class NullspaceResult:
     degenerate: bool
 
 
-def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
-    """Null-space direction of a dense matrix via its SVD.
+def nullspace_vector(matrix, anchor=-1):
+    """Null-space direction of a dense matrix via its SVD, ranked at ``DEFAULT_RANK_TOL``.
 
     Only the right factor is kept whole: a tall matrix gets the thin SVD,
     so no ``q``-by-``q`` left factor is allocated.
@@ -233,8 +233,6 @@ def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
     Parameters
     ----------
     matrix : (q, k) ndarray or LoewnerMatrix
-    rel_tol : float
-        Numerical-rank threshold relative to the largest singular value.
     anchor : int
         Entry to normalize to one (negative indices allowed).  An anchor
         entry below ``1e-10`` times the largest entry triggers
@@ -248,7 +246,7 @@ def nullspace_vector(matrix, rel_tol=DEFAULT_RANK_TOL, anchor=-1):
         raise GridError("empty matrix has no null-space direction")
     # a wide matrix's null space lies in the rows of V^H past q
     _, sigma, vh = np.linalg.svd(matrix, full_matrices=q < k)
-    rank = int(numerical_rank(sigma, rel_tol))
+    rank = int(numerical_rank(sigma))
     vector = np.conj(vh[-1])
     sigma_next = float(sigma[-2]) if sigma.size > 1 else math.inf
 
@@ -281,9 +279,20 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
     union grids, seeded, duplicates by value dropped); the degree is the
     maximum numerical rank seen.  All fibers of a variable are sampled in
     one call and ranked by one stacked SVD per variable.
+
+    Raises
+    ------
+    ValueError
+        If ``rel_tol`` is not a positive number.
+    MemoryGuardError
+        If the fiber index array of ``sample_budget + 1`` combinations
+        would exceed ``DEFAULT_MEMORY_GUARD``; checked before any draw.
     """
+    if not rel_tol > 0:
+        raise ValueError(f"rank tolerance must be a positive number, got {rel_tol}")
     rng = np.random.default_rng(seed)
     n = source.n_vars
+    _guard_dense((sample_budget + 1) * max(g.union_points.size for g in source.grids), n)
     degrees = []
     saturated = []
     for l, grid in enumerate(source.grids):

@@ -26,8 +26,8 @@ from .errors import GridError, PoleError
 from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
 
 POLE_THRESHOLD = 1e-300
-SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a batched sweep (bounds its peak memory)
-FULL_SWEEP_TUPLES = 100_000  # larger union grids are swept at SWEEP_SAMPLES seeded tuples
+SWEEP_CHUNK_BYTES = 2**20  # largest intermediate of a point batch or a dense row block
+FULL_SWEEP_TUPLES = 100_000  # bounds a whole-grid sweep; larger grids sample SWEEP_SAMPLES tuples
 SWEEP_SAMPLES = 5_000
 
 
@@ -239,10 +239,10 @@ def max_error(model, source, seed=0):
 
     A pole or a value lost to overflow reports an infinite error at its
     location.  Grids of at most ``FULL_SWEEP_TUPLES`` tuples are swept whole,
-    in variable-0 slabs of about ``SWEEP_CHUNK_BYTES``, and ``point`` is the
-    first maximizing tuple in row-major order; larger ones (see
-    :func:`sweep_is_sampled`) at ``SWEEP_SAMPLES`` tuples drawn by
-    ``np.random.default_rng(seed)``, and ``point`` is the first worst draw.
+    in one grid evaluation, and ``point`` is the first maximizing tuple in
+    row-major order; larger ones (see :func:`sweep_is_sampled`) at
+    ``SWEEP_SAMPLES`` tuples drawn by ``np.random.default_rng(seed)``, and
+    ``point`` is the first worst draw.
     """
     pools = [g.union_points for g in source.grids]
     if sweep_is_sampled(source):
@@ -252,18 +252,9 @@ def max_error(model, source, seed=0):
         mismatch = np.abs(eval_model(model, points) - source.values_at_indices(indices))
         index, error = _first_worst(mismatch)
         return error, tuple(points[index])
-    best = -1.0
-    best_point = None
-    # one complex denominator and numerator per tuple of a variable-0 row
-    for slab in _blocks(pools[0].size, 2 * 16 * math.prod(p.size for p in pools[1:])):
-        block = [pools[0][slab], *pools[1:]]
-        values = _eval_on_grid(model, block)
-        index, worst = _first_worst(np.abs(values - source.values_on_product(block)).reshape(-1))
-        if worst > best:
-            best = worst
-            idx = np.unravel_index(index, values.shape)
-            best_point = tuple(p[i] for p, i in zip(block, idx))
-    return float(best), best_point
+    values = _eval_on_grid(model, pools)
+    index, error = _first_worst(np.abs(values - source.values_on_product(pools)).reshape(-1))
+    return error, tuple(p[i] for p, i in zip(pools, np.unravel_index(index, values.shape)))
 
 
 # --- JSON interchange ---------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import GridError
 from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
-from .loewner import DEFAULT_RANK_TOL, _guard_dense, _kron_of, numerical_rank
+from .loewner import _guard_dense, _kron_of, numerical_rank
 from .model import _as_points, _evaluate
 
 LOG_PRODUCT_CUTOFF = 300
@@ -346,8 +346,8 @@ def compress_realization(realization):
     return CompressedRealization(realization)
 
 
-def check_r_minimality(realization, sample_points, rel_tol=DEFAULT_RANK_TOL):
-    """Rank check of [Phi B] and [C; Phi] at each sample point.
+def check_r_minimality(realization, sample_points):
+    """Rank check of [Phi B] and [C; Phi] at each sample point, at ``DEFAULT_RANK_TOL``.
 
     Both must have full rank m everywhere; returns one report dict per
     point with the two ranks and an ``ok`` flag.
@@ -358,8 +358,8 @@ def check_r_minimality(realization, sample_points, rel_tol=DEFAULT_RANK_TOL):
         phi = realization.phi(point)
         controllable = np.hstack([phi, realization.b_vector[:, None]])
         observable = np.vstack([realization.c_vector[None, :], phi])
-        rank_ctrl = int(numerical_rank(np.linalg.svd(controllable, compute_uv=False), rel_tol))
-        rank_obs = int(numerical_rank(np.linalg.svd(observable, compute_uv=False), rel_tol))
+        rank_ctrl = int(numerical_rank(np.linalg.svd(controllable, compute_uv=False)))
+        rank_obs = int(numerical_rank(np.linalg.svd(observable, compute_uv=False)))
         reports.append(
             {
                 "point": tuple(complex(v) for v in point),

@@ -612,3 +612,64 @@ def test_data_and_oracle_are_one_input_option(oracle_2d_file, tmp_path, capsys):
         assert info.value.code == 2
         assert "--data/--oracle" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot-data", "--sweep", "s=0:1:100000000000", "--frozen", "t=0.5"],
+        ["order-detect", "--budget", "100000000000"],
+        ["fit", "--budget", "100000000000"],
+    ],
+)
+def test_huge_sizes_are_refused_before_allocating(oracle_2d_file, tmp_path, capsys, argv):
+    if argv[0] == "plot-data":
+        model = make_model([[0, 2], [1, 3]], np.ones(4), np.arange(4.0), names=["s", "t"])
+        argv = [*argv, "--model", _write_json(tmp_path / "m.json", model_to_dict(model))]
+    else:
+        argv = [*argv, "--data", oracle_2d_file]
+        if argv[0] == "fit":
+            argv += ["--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing" in captured.err and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, tol",
+    [
+        ("order-detect", "nan"),
+        ("order-detect", "-1"),
+        ("order-detect", "0"),
+        ("fit-adaptive", "nan"),
+        ("fit-adaptive", "-1"),
+        ("verify", "nan"),
+        ("verify", "-1"),
+    ],
+)
+def test_a_tolerance_that_is_not_a_positive_number_is_an_input_error(
+    oracle_2d_file, tmp_path, capsys, command, tol
+):
+    model_path = str(tmp_path / "m.json")
+    assert main(["fit", "--data", oracle_2d_file, "--out", model_path]) == 0
+    capsys.readouterr()
+    argv = [command, "--data", oracle_2d_file, "--tol", tol]
+    if command == "fit-adaptive":
+        argv += ["--out", str(tmp_path / "adaptive.json")]
+    elif command == "verify":
+        argv += ["--model", model_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "adaptive.json").exists()
+
+
+def test_plot_data_refuses_an_unknown_frozen_variable(tmp_path, capsys):
+    model = make_model([[0, 2], [1, 3]], np.ones(4), np.arange(4.0), names=["s", "t"])
+    path = _write_json(tmp_path / "m.json", model_to_dict(model))
+    assert main(["plot-data", "--model", path, "--sweep", "s=0:1:3", "--frozen", "t=0.5,T=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown frozen variable 'T'" in captured.err

@@ -175,8 +175,6 @@ def test_fit_options_validation():
     with pytest.raises(ValueError):
         FitOptions(nullspace_method="magic")
     with pytest.raises(ValueError):
-        FitOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
         fit_adaptive(None, -1.0)
 
 

@@ -212,6 +212,63 @@ def test_selection_rejects_coincident_points():
         Selection([[1.0, 2.0]], [[2.0, 3.0]])
 
 
+def _full_by_hand(source):
+    """The stored columns as columns and the stored rows as rows, listed directly."""
+    return [g.column_points for g in source.grids], [g.row_points for g in source.grids]
+
+
+def _spread_by_hand(source, counts):
+    """Strided columns; the leftover columns, then the stored rows, as rows."""
+    cols, rows = [], []
+    for grid, k in zip(source.grids, counts):
+        lam = grid.column_points
+        idx = np.round(np.linspace(0, lam.size - 1, k)).astype(int)
+        mask = np.ones(lam.size, dtype=bool)
+        mask[idx] = False
+        cols.append(lam[idx])
+        rows.append(np.concatenate([lam[mask], grid.row_points]))
+    return cols, rows
+
+
+@st.composite
+def disjoint_sources_and_counts(draw):
+    """1-3 variables of distinct complex points, 1-6 columns and 0-5 rows each,
+    with a support count of at most the column count per variable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids, counts = [], []
+    for l in range(draw(st.integers(1, 3))):
+        k, q = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+        points = rng.permutation(rng.standard_normal(k + q) + 1j * rng.standard_normal(k + q))
+        grids.append(VariableGrid(f"x{l}", points[:k], points[k:]))
+        counts.append(draw(st.integers(1, k)))
+    return OracleSource(parse("1", [g.name for g in grids]), grids), counts
+
+
+def _assert_bitwise(lists, expected):
+    assert len(lists) == len(expected)
+    for got, want in zip(lists, expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(disjoint_sources_and_counts())
+def test_full_and_spread_columns_match_their_constructions_by_hand(case):
+    source, counts = case
+    for selection, (cols, rows) in (
+        (Selection.full(source), _full_by_hand(source)),
+        (Selection.spread_columns(source, counts), _spread_by_hand(source, counts)),
+    ):
+        _assert_bitwise(selection.col_points, cols)
+        _assert_bitwise(selection.row_points, rows)
+
+
+def test_full_selection_refuses_a_repeated_column_point():
+    source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [1, 1, 3], [0, 2])])
+    with pytest.raises(GridError, match="coincident column/row points"):
+        Selection.full(source)
+
+
 def test_spread_columns_keeps_endpoints(source_synth2d):
     selection = Selection.spread_columns(source_synth2d, [5, 4])
     np.testing.assert_allclose(selection.col_points[0].real, [-1, -0.6, 0, 0.6, 1])

@@ -397,7 +397,8 @@ def detect_orders_loop(source, sample_budget, rel_tol, seed):
             per_var = [grid.union_points if i == l else [combo[i]] for i in range(n)]
             values = source.values_on_product(per_var).reshape(-1)
             lm = build_loewner_1d(cols, rows, values[: cols.size], values[cols.size :])
-            best = max(best, nullspace_vector(lm, rel_tol).rank)
+            sigma = np.linalg.svd(lm.entries, compute_uv=False)
+            best = max(best, int(numerical_rank(sigma, rel_tol)))
         degrees.append(best)
         saturated.append(best >= min(cols.size, rows.size))
     return tuple(degrees), tuple(saturated)

@@ -12,6 +12,7 @@ tuple.
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -166,6 +167,27 @@ def test_max_error_matches_per_tuple_loop(case, chunk_bytes):
     with mock.patch.object(model_module, "SWEEP_CHUNK_BYTES", chunk_bytes):
         batched = max_error(model, source)
     _assert_same_sweep(batched, loop_max_error(model, source))
+
+
+def test_full_sweep_memory_is_bounded_by_the_tuple_cap():
+    # 17**4 = 83,521 tuples, just under FULL_SWEEP_TUPLES: one grid evaluation
+    rng = np.random.default_rng(11)
+    grids = [
+        VariableGrid(f"x{l + 1}", np.linspace(-1, 1, 9), np.linspace(-0.95, 0.95, 8))
+        for l in range(4)
+    ]
+    source = DenseSource(Tableau(grids, _complex(rng, (17,) * 4)))
+    assert not model_module.sweep_is_sampled(source)
+    for k in (2, 9):
+        supports = [g.column_points[:k] for g in grids]
+        model = make_model(supports, _complex(rng, k**4), _complex(rng, k**4))
+        tracemalloc.start()
+        try:
+            max_error(model, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, (k, peak)
 
 
 def _pole_case(model, source, rng):
