@@ -42,7 +42,6 @@ from .grids import (
     Selection,
     Tableau,
     VariableGrid,
-    check_disjoint,
     load_source,
     source_from_dict,
     source_to_dict,

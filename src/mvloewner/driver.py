@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .cascade import cascaded_nullspace, make_flop_report, resolve_order
-from .errors import DegenerateNullspaceError, GridError, NotConvergedError
-from .grids import Selection, _check_degrees, _complex_to_pairs, check_disjoint
+from .errors import DegenerateNullspaceError, NotConvergedError
+from .grids import Selection, _check_degrees, _complex_to_pairs
 from .loewner import build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error, sweep_is_sampled
 from .realize import build_realization
@@ -84,11 +84,9 @@ class AdaptiveLog:
         }
 
 
-def _require_disjoint(source):
-    violations = check_disjoint(source)
-    if violations:
-        listing = ", ".join(f"{name}={value}" for name, value in violations[:5])
-        raise GridError(f"interpolation points are not disjoint: {listing}")
+def _max_supports(grid):
+    """Most support points ``grid`` can give: the other union points must supply k - 1 rows."""
+    return (grid.union_points.size + 1) // 2
 
 
 def _fit_selection(source, selection, opts):
@@ -119,7 +117,6 @@ def _fit_selection(source, selection, opts):
 def fit_direct(source, opts=None):
     """Order detection, weight computation, model and realization in one pass."""
     opts = opts or FitOptions()
-    _require_disjoint(source)
     if opts.degrees is not None:
         degrees = _check_degrees(source, opts.degrees)
     else:
@@ -128,8 +125,8 @@ def fit_direct(source, opts=None):
     for grid, d in zip(source.grids, degrees):
         available = grid.union_points.size
         k = d + 1
-        # rows must supply rank k-1, and supports come from the column list
-        limit = min(max(1, math.ceil(available / 2)), grid.column_points.size)
+        # supports come from the column list
+        limit = min(_max_supports(grid), grid.column_points.size)
         if k > limit:
             warnings.warn(
                 f"variable {grid.name!r}: degree {d} needs {k} support points but "
@@ -158,7 +155,6 @@ def fit_adaptive(source, tol, opts=None):
     opts = opts or FitOptions()
     if not tol > 0:
         raise ValueError(f"tolerance must be a positive number, got {tol}")
-    _require_disjoint(source)
     grids = source.grids
     chosen = [[complex(g.column_points[0])] for g in grids]
     log = AdaptiveLog(opts.nullspace_method, float(tol), sampled=sweep_is_sampled(source))
@@ -193,9 +189,7 @@ def fit_adaptive(source, tol, opts=None):
             coordinate = argmax[l]
             if any(coordinate == value for value in chosen[l]):
                 continue
-            # a variable needs at least k-1 leftover points as rows
-            pool_size = grid.union_points.size
-            if pool_size - (len(chosen[l]) + 1) < len(chosen[l]):
+            if len(chosen[l]) + 1 > _max_supports(grid):
                 continue
             chosen[l].append(complex(coordinate))
             added[grid.name] = complex(coordinate)

@@ -5,14 +5,16 @@ candidate support points) and ``row_points`` (the complementary samples
 that drive divided differences).  The union grid of a variable is the
 concatenation columns-first, and dense value tensors are stored row-major
 with variable 0 varying slowest.  Point comparisons are exact on the
-stored binary values; coincident points are the only fatal configuration
-because every divided difference divides by a point difference.
+stored binary values.  Every divided difference divides by a point
+difference, so a grid whose column and row points are not pairwise
+distinct is refused when it is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,9 @@ class VariableGrid:
         rows = _as_complex_vector(row_points, f"row points of {name!r}") if len(row_points) else np.zeros(0, complex)
         if cols.size < 1:
             raise GridError(f"variable {name!r} needs at least one column point")
+        values, counts = np.unique(np.concatenate([cols, rows]), return_counts=True)
+        if np.any(counts > 1):
+            raise GridError(f"variable {name!r} repeats the grid point {values[counts > 1][0]}")
         object.__setattr__(self, "column_points", cols)
         object.__setattr__(self, "row_points", rows)
 
@@ -52,19 +57,8 @@ class VariableGrid:
         """All grid points, columns first."""
         return np.concatenate([self.column_points, self.row_points])
 
-    def duplicates(self):
-        """Values occurring more than once in the union grid (exact equality)."""
-        seen = {}
-        dups = []
-        for value in self.union_points:
-            key = complex(value)
-            seen[key] = seen.get(key, 0) + 1
-            if seen[key] == 2:
-                dups.append(key)
-        return dups
-
     def indices_of(self, values):
-        """Union-grid index of each of ``values`` (first match; exact equality).
+        """Union-grid index of each of ``values`` (exact equality).
 
         One stable sort of the union grid and one binary search per value,
         so memory stays O(len(values) + len(union grid)).  Raises
@@ -117,6 +111,11 @@ class DataSource:
         """Sample value at a tuple of grid points (one per variable)."""
         raise NotImplementedError
 
+    def _check_point_lists(self, per_var_points):
+        """Refuse anything but one point list per variable with a GridError."""
+        if len(per_var_points) != self.n_vars:
+            raise GridError(f"expected {self.n_vars} point lists, got {len(per_var_points)}")
+
     def values_at_indices(self, indices):
         """Sample values at union-grid index tuples.
 
@@ -143,15 +142,13 @@ class DenseSource(DataSource):
         self.grids = tableau.grids
 
     def value_at(self, point):
-        if len(point) != self.n_vars:
-            raise GridError(f"expected {self.n_vars} coordinates, got {len(point)}")
-        idx = tuple(g.indices_of(v)[0] for g, v in zip(self.grids, point))
-        return complex(self.tableau.values[idx])
+        return self.values_on_product([[v] for v in point]).item()
 
     def values_at_indices(self, indices):
         return self.tableau.values[tuple(np.asarray(indices).T)]
 
     def values_on_product(self, per_var_points):
+        self._check_point_lists(per_var_points)
         mesh = np.ix_(*(g.indices_of(p) for g, p in zip(self.grids, per_var_points)))
         return self.tableau.values[mesh]
 
@@ -169,15 +166,9 @@ class OracleSource(DataSource):
             raise GridError(f"expression references undeclared variables {sorted(unknown)}")
 
     def value_at(self, point):
-        if len(point) != self.n_vars:
-            raise GridError(f"expected {self.n_vars} coordinates, got {len(point)}")
         for grid, value in zip(self.grids, point):
             grid.indices_of(value)
-        assignment = {g.name: complex(v) for g, v in zip(self.grids, point)}
-        value = expressions.evaluate(self.expression, assignment)
-        if not np.isfinite(value):
-            raise EvaluationError(f"oracle produced a non-finite value at {tuple(point)}")
-        return complex(value)
+        return self.values_on_product([[v] for v in point]).item()
 
     def _evaluate(self, assignment, shape, where):
         """The expression on ``assignment`` as a fresh C-ordered array of ``shape``;
@@ -200,10 +191,11 @@ class OracleSource(DataSource):
         The product is an open mesh: variable ``l`` enters the expression
         as a view of shape ``(1, ..., k_l, ..., 1)`` and numpy broadcasting
         forms the product, so no full-size copy of any axis is made.  An
-        axis of one point enters as a Python ``complex`` scalar, as in
-        :meth:`value_at`.  The result is a fresh C-ordered array of shape
+        axis of one point enters as a Python ``complex`` scalar.  The
+        result is a fresh C-ordered array of shape
         ``tuple(len(p) for p in per_var_points)``.
         """
+        self._check_point_lists(per_var_points)
         axes = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in per_var_points]
         n = len(axes)
         assignment = {}
@@ -221,25 +213,17 @@ class OracleSource(DataSource):
         return DenseSource(Tableau(self.grids, values))
 
 
-def check_disjoint(source):
-    """Report duplicated interpolation points, per variable.
-
-    Returns a list of ``(variable_name, value)`` pairs; an empty list
-    means every variable's column and row points are pairwise distinct.
-    """
-    violations = []
-    for grid in source.grids:
-        for value in grid.duplicates():
-            violations.append((grid.name, value))
-    return violations
-
-
 def _check_degrees(source, degrees):
-    """``degrees`` as a tuple of ints, one per variable of ``source``, else a GridError."""
-    degrees = tuple(int(d) for d in degrees)
+    """``degrees`` as a tuple of ints, one non-negative integer per variable; else a GridError."""
+    degrees = tuple(degrees)
     if len(degrees) != source.n_vars:
         raise GridError(f"{len(degrees)} degrees given for {source.n_vars} variables")
-    return degrees
+    for grid, d in zip(source.grids, degrees):
+        if not isinstance(d, numbers.Integral) or d < 0:
+            raise GridError(
+                f"degree of variable {grid.name!r} must be a non-negative integer, got {d!r}"
+            )
+    return tuple(int(d) for d in degrees)
 
 
 @dataclass(frozen=True, eq=False)

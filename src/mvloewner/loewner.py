@@ -276,18 +276,20 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
     For each variable the single-variable Loewner matrix is built for the
     all-first-column frozen combination plus up to ``sample_budget``
     random frozen combinations of the other variables (drawn from their
-    union grids, seeded, duplicates by value dropped); the degree is the
+    union grids, seeded, repeated combinations dropped); the degree is the
     maximum numerical rank seen.  All fibers of a variable are sampled in
     one call and ranked by one stacked SVD per variable.
 
     Raises
     ------
     ValueError
-        If ``rel_tol`` is not a positive number.
+        If ``sample_budget`` is negative or ``rel_tol`` is not a positive number.
     MemoryGuardError
         If the fiber index array of ``sample_budget + 1`` combinations
         would exceed ``DEFAULT_MEMORY_GUARD``; checked before any draw.
     """
+    if sample_budget < 0:
+        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
     if not rel_tol > 0:
         raise ValueError(f"rank tolerance must be a positive number, got {rel_tol}")
     rng = np.random.default_rng(seed)
@@ -306,12 +308,8 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
         others = [g for i, g in enumerate(source.grids) if i != l]
         # row-major fill: the same stream as one scalar draw per combination and variable
         drawn = rng.integers(0, [g.union_points.size for g in others], size=(sample_budget, n - 1))
-        combos = np.vstack([np.zeros((1, n - 1), dtype=int), drawn])
-        for i, g in enumerate(others):
-            # the first union index holding each drawn value, so equal values dedupe
-            combos[:, i] = g.indices_of(g.union_points[combos[:, i]])
-        combos = np.unique(combos, axis=0)
-        free = grid.indices_of(grid.union_points)
+        combos = np.unique(np.vstack([np.zeros((1, n - 1), dtype=int), drawn]), axis=0)
+        free = np.arange(k + q)
         # one index row per fiber point: the combination with ``free`` spliced in at l
         fibers = np.insert(np.repeat(combos, free.size, axis=0), l, np.tile(free, len(combos)), 1)
         values = source.values_at_indices(fibers).reshape(-1, free.size)

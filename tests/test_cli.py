@@ -673,3 +673,49 @@ def test_plot_data_refuses_an_unknown_frozen_variable(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown frozen variable 'T'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["order-detect", "fit", "fit-adaptive", "verify"])
+def test_a_repeated_grid_point_is_an_input_error(tmp_path, capsys, command):
+    # with the repeated column 0.1, order-detect used to print degree 2, not saturated
+    doc = {
+        "variables": [
+            {
+                "name": "s",
+                "lambda": [[0.1, 0], [0.1, 0], [0.9, 0]],
+                "mu": [[0.2, 0], [0.4, 0], [0.6, 0], [0.8, 0]],
+            }
+        ],
+        "expression": "(s^3+2)/(s^2+s+3)",
+    }
+    data = _write_json(tmp_path / "repeated.json", doc)
+    argv = [command, "--data", data]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "m.json")]
+    elif command == "fit-adaptive":
+        argv += ["--out", str(tmp_path / "m.json"), "--tol", "1e-6"]
+    elif command == "verify":
+        model = make_model([[0.1, 0.9]], np.ones(2), np.ones(2), names=["s"])
+        argv += ["--model", _write_json(tmp_path / "model.json", model_to_dict(model))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "variable 's' repeats the grid point (0.1+0j)" in captured.err
+    assert not (tmp_path / "m.json").exists()
+    if command == "order-detect":
+        # the same points once each: degree 3, and the probe is saturated
+        doc["variables"][0]["lambda"][1] = [0.5, 0]
+        assert main(["order-detect", "--data", _write_json(tmp_path / "distinct.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"degrees": [3], "saturated": ["s"]}
+
+
+@pytest.mark.parametrize("command", ["order-detect", "fit"])
+def test_a_negative_budget_is_an_input_error(oracle_2d_file, tmp_path, capsys, command):
+    argv = [command, "--data", oracle_2d_file, "--budget", "-3"]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sample budget must be non-negative, got -3" in captured.err
+    assert not (tmp_path / "m.json").exists()

@@ -18,6 +18,7 @@ from mvloewner import (
     make_flop_report,
     max_error,
     parse,
+    source_from_dict,
 )
 from conftest import C2_EXPECTED
 
@@ -66,9 +67,13 @@ def test_fit_direct_constant_source():
 
 
 def test_fit_direct_rejects_duplicate_points():
-    source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [1, 2], [2, 3])])
-    with pytest.raises(GridError, match="disjoint"):
-        fit_direct(source)
+    # the source a fit reads cannot be built, from code or from a data file
+    named = r"variable 's' repeats the grid point \(2\+0j\)"
+    with pytest.raises(GridError, match=named):
+        OracleSource(parse("s", ["s"]), [VariableGrid("s", [1, 2], [2, 3])])
+    variables = [{"name": "s", "lambda": [[1, 0], [2, 0]], "mu": [[2, 0], [3, 0]]}]
+    with pytest.raises(GridError, match=named):
+        source_from_dict({"variables": variables, "expression": "s"})
 
 
 def test_fit_direct_clamps_excess_degrees(source_2d):
@@ -181,6 +186,25 @@ def test_fit_options_validation():
 @pytest.mark.parametrize("degrees", [(2, 1, 5), (1,)])
 def test_degree_count_must_match_the_variables(source_2d, degrees):
     named = f"{len(degrees)} degrees given for 2 variables"
+    for method in ("cascaded", "full"):
+        with pytest.raises(GridError, match=named):
+            fit_direct(source_2d, FitOptions(nullspace_method=method, degrees=degrees))
+    with pytest.raises(GridError, match=named):
+        cascaded_nullspace(source_2d, degrees=degrees)
+
+
+@pytest.mark.parametrize(
+    "degrees, named",
+    [
+        ((-1, 1), "'s' must be a non-negative integer, got -1"),
+        ((2, 1.7), "'t' must be a non-negative integer, got 1.7"),
+        ((2.0, 1), "'s' must be a non-negative integer, got 2.0"),
+        ((2, "1"), "'t' must be a non-negative integer, got '1'"),
+    ],
+    ids=["negative", "fractional", "float", "string"],
+)
+def test_degrees_must_be_non_negative_integers(source_2d, degrees, named):
+    named = f"degree of variable {named}"
     for method in ("cascaded", "full"):
         with pytest.raises(GridError, match=named):
             fit_direct(source_2d, FitOptions(nullspace_method=method, degrees=degrees))

@@ -17,7 +17,7 @@ from mvloewner import (
     Selection,
     Tableau,
     VariableGrid,
-    check_disjoint,
+    evaluate,
     parse,
     source_from_dict,
     source_to_dict,
@@ -27,18 +27,24 @@ from mvloewner.grids import _complex_to_pairs
 
 def test_disjoint_ok_on_clean_grid():
     grid = VariableGrid("s", [1, 3, 5], [2, 4, 6, 8])
-    source = OracleSource(parse("s", ["s"]), [grid])
-    assert check_disjoint(source) == []
+    np.testing.assert_array_equal(grid.union_points, [1, 3, 5, 2, 4, 6, 8])
 
 
 def test_disjoint_reports_duplicate():
-    source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [1], [1])])
-    assert check_disjoint(source) == [("s", (1 + 0j))]
+    # a repeated point among the columns, among the rows, or across both
+    for cols, rows, repeated in (
+        ([1], [1], r"\(1\+0j\)"),
+        ([0.1, 0.1, 0.9], [0.2, 0.4, 0.6, 0.8], r"\(0\.1\+0j\)"),
+        ([1, 2], [3, 3j, 3], r"\(3\+0j\)"),
+        ([0.0, 1.0], [-0.0], r"0j"),
+    ):
+        with pytest.raises(GridError, match=f"variable 's' repeats the grid point {repeated}"):
+            VariableGrid("s", cols, rows)
 
 
 def test_single_column_point_is_fine():
     source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [0], [])])
-    assert check_disjoint(source) == []
+    np.testing.assert_array_equal(source.values_on_product([[0]]), [0])
 
 
 def test_fiber_reads_a_tableau_column(source_2d):
@@ -69,7 +75,7 @@ def test_fiber_requires_on_grid_frozen_point(source_2d):
         dense.values_on_product([dense.grids[0].union_points, [-7]])
 
 
-# a few values, signed zeros among them, so draws repeat and collide
+# a few values, signed zeros among them, so queries repeat and meet zeros of either sign
 GRID_VALUES = st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 0.5, 1j, -1j, complex(-0.0, -0.0), 1 + 1j, 2.0]
 )
@@ -86,13 +92,19 @@ def first_match_loop(pool, values):
 
 @settings(max_examples=500, deadline=None)
 @given(
-    # past 16 points numpy's default sort is no longer stable
-    st.lists(GRID_VALUES, min_size=1, max_size=40),
-    st.lists(GRID_VALUES, max_size=20),
+    # distinct grid points (equal by ==, so 0.0 and -0.0 are one point); past 16
+    # points numpy's default sort is no longer stable
+    st.lists(
+        GRID_VALUES | st.integers(-12, 12).map(lambda i: complex(i / 4, i % 3)),
+        min_size=1,
+        max_size=40,
+        unique=True,
+    ),
+    st.integers(1, 40),
     st.lists(GRID_VALUES | st.sampled_from([3.0, -2j]), max_size=10),
 )
-def test_indices_of_matches_first_match_loop(cols, rows, values):
-    grid = VariableGrid("x", cols, rows)
+def test_indices_of_matches_first_match_loop(points, split, values):
+    grid = VariableGrid("x", points[:split], points[split:])
     queries = np.asarray(values, dtype=complex)
     expected = first_match_loop(grid.union_points, queries)
     if None in expected:
@@ -121,6 +133,39 @@ def test_value_at_worked_entries(source_2d, source_3d):
 def test_value_at_rejects_off_grid(source_2d):
     with pytest.raises(OffGridError):
         source_2d.value_at((1.5, -1))
+
+
+def _bits(value):
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize(
+    "name", ["source_1d", "source_2d", "source_3d", "source_kst", "source_synth2d"]
+)
+def test_value_at_is_the_scalar_read_on_every_grid_tuple(request, name):
+    # one scalar evaluation of the expression, one tableau entry: bit for bit
+    source = request.getfixturevalue(name)
+    sources = [source.densify(), source] if isinstance(source, OracleSource) else [source]
+    for index in np.ndindex(*(g.union_points.size for g in source.grids)):
+        point = tuple(g.union_points[i] for g, i in zip(source.grids, index))
+        for each in sources:
+            if isinstance(each, OracleSource):
+                assignment = {g.name: complex(v) for g, v in zip(each.grids, point)}
+                expected = complex(evaluate(each.expression, assignment))
+            else:
+                expected = complex(each.tableau.values[index])
+            value = each.value_at(point)
+            assert type(value) is complex and _bits(value) == _bits(expected)
+
+
+def test_both_sources_refuse_a_wrong_number_of_point_lists(source_2d):
+    for source in (source_2d, source_2d.densify()):
+        for per_var in ([[1]], [[1], [-1], [-1]], []):
+            with pytest.raises(GridError, match=f"expected 2 point lists, got {len(per_var)}"):
+                source.values_on_product(per_var)
+        for point in ((1,), (1, -1, -1)):
+            with pytest.raises(GridError, match=f"expected 2 point lists, got {len(point)}"):
+                source.value_at(point)
 
 
 def test_fiber_matches_value_at_exhaustively():
@@ -264,9 +309,12 @@ def test_full_and_spread_columns_match_their_constructions_by_hand(case):
 
 
 def test_full_selection_refuses_a_repeated_column_point():
-    source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [1, 1, 3], [0, 2])])
+    # no grid holds one, so no selection drawn from a grid can
+    with pytest.raises(GridError, match=r"variable 's' repeats the grid point \(1\+0j\)"):
+        VariableGrid("s", [1, 1, 3], [0, 2])
+    # a selection given point by point is checked on its own
     with pytest.raises(GridError, match="coincident column/row points"):
-        Selection.full(source)
+        Selection([[1, 3]], [[0, 1, 2]])
 
 
 def test_spread_columns_keeps_endpoints(source_synth2d):

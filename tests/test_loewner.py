@@ -369,8 +369,8 @@ def test_detect_orders_rank_equals_k_minus_one_for_matched_models(
 def detect_orders_loop(source, sample_budget, rel_tol, seed):
     """The per-combination probe that ``detect_orders`` batches.
 
-    Same seeded draws and value dedupe; one fiber, one Loewner build and
-    one full SVD per frozen combination.
+    Same seeded draws and combination dedupe; one fiber, one Loewner build
+    and one full SVD per frozen combination.
     """
     rng = np.random.default_rng(seed)
     n = source.n_vars
@@ -406,9 +406,9 @@ def detect_orders_loop(source, sample_budget, rel_tol, seed):
 
 @st.composite
 def order_sources(draw):
-    """Oracle, densified, noise and duplicated-point sources of 1-4 variables."""
+    """Oracle, densified, noise and adjacent-point sources of 1-4 variables."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["oracle", "dense", "noise", "duplicate"]))
+    kind = draw(st.sampled_from(["oracle", "dense", "noise", "adjacent"]))
     names = [f"x{l}" for l in range(draw(st.integers(1, 4)))]
     grids = []
     for name in names:
@@ -416,8 +416,9 @@ def order_sources(draw):
         q = draw(st.integers(1 if k == 1 else 0, 4))
         points = rng.permutation(np.linspace(0.1, 1.0, 9))[: k + q]
         cols = points[:k]
-        if kind == "duplicate":
-            cols[-1] = cols[0]
+        if kind == "adjacent" and k > 1:
+            # distinct, but one ulp apart: a lookup must tell them apart
+            cols[-1] = np.nextafter(cols[0], 2.0)
         grids.append(VariableGrid(name, cols, points[k:]))
     shape = tuple(g.union_points.size for g in grids)
     if kind == "noise":
@@ -428,8 +429,8 @@ def order_sources(draw):
     if kind == "oracle":
         return oracle
     values = oracle.densify().tableau.values
-    if kind == "duplicate":
-        # noise behind each repeated point: only a lookup past the first match reads it
+    if kind == "adjacent":
+        # noise behind each last column point: a lookup that takes its neighbour misses it
         for l, g in enumerate(grids):
             if g.column_points.size > 1:
                 index = [slice(None)] * len(grids)
