@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,13 +284,14 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
     Raises
     ------
     ValueError
-        If ``sample_budget`` is negative or ``rel_tol`` is not a positive number.
+        If ``sample_budget`` is not a non-negative integer or ``rel_tol`` is not a positive number.
     MemoryGuardError
         If the fiber index array of ``sample_budget + 1`` combinations
         would exceed ``DEFAULT_MEMORY_GUARD``; checked before any draw.
     """
-    if sample_budget < 0:
-        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
+    integral = isinstance(sample_budget, numbers.Integral) and not isinstance(sample_budget, bool)
+    if not integral or sample_budget < 0:
+        raise ValueError(f"sample budget must be a non-negative integer, got {sample_budget!r}")
     if not rel_tol > 0:
         raise ValueError(f"rank tolerance must be a positive number, got {rel_tol}")
     rng = np.random.default_rng(seed)

@@ -229,32 +229,44 @@ def _first_worst(mismatch):
     return index, float(mismatch[index])
 
 
+def _is_sampled(pools):
+    """The one sampling rule: a product of more than ``FULL_SWEEP_TUPLES`` tuples is sampled."""
+    return math.prod(p.size for p in pools) > FULL_SWEEP_TUPLES
+
+
 def sweep_is_sampled(source):
     """Whether :func:`max_error` samples ``source`` instead of sweeping its union grids whole."""
-    return math.prod(g.union_points.size for g in source.grids) > FULL_SWEEP_TUPLES
+    return _is_sampled([g.union_points for g in source.grids])
+
+
+def _sweep(model, source, pools, seed):
+    """Largest mismatch on the product of grid-point lists ``pools``: ``(error, point, sampled)``.
+
+    A pole or a value lost to overflow is an infinite error at its location.
+    A product of at most ``FULL_SWEEP_TUPLES`` tuples is swept whole, in one
+    grid evaluation, and ``point`` is its first worst tuple in row-major
+    order (an empty product: 0 at ``()``); a larger one at ``SWEEP_SAMPLES``
+    tuples drawn by ``np.random.default_rng(seed)`` and read through
+    ``values_at_indices``, and ``point`` is the first worst draw.
+    """
+    if _is_sampled(pools):
+        sizes = [p.size for p in pools]
+        picks = np.random.default_rng(seed).integers(0, sizes, size=(SWEEP_SAMPLES, len(sizes)))
+        points = np.stack([p[picks[:, l]] for l, p in enumerate(pools)], axis=1)
+        indices = np.stack([g.indices_of(points[:, l]) for l, g in enumerate(source.grids)], axis=1)
+        mismatch = np.abs(eval_model(model, points) - source.values_at_indices(indices))
+        index, error = _first_worst(mismatch)
+        return error, tuple(points[index]), True
+    if min(p.size for p in pools) == 0:
+        return 0.0, (), False
+    values = _eval_on_grid(model, pools)
+    index, error = _first_worst(np.abs(values - source.values_on_product(pools)).reshape(-1))
+    return error, tuple(p[i] for p, i in zip(pools, np.unravel_index(index, values.shape))), False
 
 
 def max_error(model, source, seed=0):
-    """Largest mismatch against a data source over its union grids, as ``(error, point)``.
-
-    A pole or a value lost to overflow reports an infinite error at its
-    location.  Grids of at most ``FULL_SWEEP_TUPLES`` tuples are swept whole,
-    in one grid evaluation, and ``point`` is the first maximizing tuple in
-    row-major order; larger ones (see :func:`sweep_is_sampled`) at
-    ``SWEEP_SAMPLES`` tuples drawn by ``np.random.default_rng(seed)``, and
-    ``point`` is the first worst draw.
-    """
-    pools = [g.union_points for g in source.grids]
-    if sweep_is_sampled(source):
-        sizes = [p.size for p in pools]
-        indices = np.random.default_rng(seed).integers(0, sizes, size=(SWEEP_SAMPLES, len(sizes)))
-        points = np.stack([p[indices[:, l]] for l, p in enumerate(pools)], axis=1)
-        mismatch = np.abs(eval_model(model, points) - source.values_at_indices(indices))
-        index, error = _first_worst(mismatch)
-        return error, tuple(points[index])
-    values = _eval_on_grid(model, pools)
-    index, error = _first_worst(np.abs(values - source.values_on_product(pools)).reshape(-1))
-    return error, tuple(p[i] for p, i in zip(pools, np.unravel_index(index, values.shape)))
+    """Largest mismatch over the union grids, as ``(error, point)``: :func:`_sweep` on them."""
+    return _sweep(model, source, [g.union_points for g in source.grids], seed)[:2]
 
 
 # --- JSON interchange ---------------------------------------------------

@@ -334,11 +334,6 @@ class CompressedRealization:
         out[: split.kappa] = left_row @ parent.b_lag
         return out
 
-    def evaluate(self, point):
-        """``c_row Phi_c^{-1} B_c``, which the Schur compression keeps equal to
-        :func:`eval_realization` of the parent."""
-        return eval_realization(self.parent, point)
-
 
 def compress_realization(realization):
     if not realization.split.left:

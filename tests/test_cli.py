@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mvloewner import eval_model, load_model, make_model, model_to_dict, source_to_dict
+from mvloewner import eval_model, load_model, load_source, make_model, model_to_dict, source_to_dict
 from mvloewner.cli import format_complex, main
 from conftest import C1_EXPECTED, SYNTH_2D_TEXT
 
@@ -216,7 +216,8 @@ def test_verify_passes_on_consistent_artifacts(tmp_path, source_2d, capsys):
     assert code == 0
     assert report["ok"] is True
     assert report["checks"]["sweep"]["max_error"] <= 1e-10
-    assert report["checks"]["sylvester"]["ok"] is True
+    assert report["checks"]["loewner_rows"]["ok"] is True
+    assert report["checks"]["loewner_rows"]["max_error"] <= 1e-10
 
 
 def test_verify_detects_corrupted_weight(tmp_path, source_2d, capsys):
@@ -531,9 +532,8 @@ def test_overflowing_numerator_weights_are_an_input_error(tmp_path, capsys):
     assert captured.out == "" and "c * w are not finite" in captured.err
 
 
-def test_fit_adaptive_samples_a_grid_above_the_full_sweep_threshold(tmp_path, capsys):
-    """18**4 = 104,976 union tuples: every sweep samples, and the model still verifies."""
-    names = ["a", "b", "c", "d"]
+def _four_variable_oracle(tmp_path):
+    """18 points per variable: 18**4 = 104,976 union tuples, past the full-sweep cap."""
     doc = {
         "variables": [
             {
@@ -541,11 +541,16 @@ def test_fit_adaptive_samples_a_grid_above_the_full_sweep_threshold(tmp_path, ca
                 "lambda": [[x, 0] for x in np.linspace(0.1, 1.0, 9)],
                 "mu": [[x, 0] for x in np.linspace(0.15, 1.05, 9)],
             }
-            for v in names
+            for v in "abcd"
         ],
         "expression": "(1+a*b*c*d)/(3+a+b-c*d)",
     }
-    oracle = _write_json(tmp_path / "oracle.json", doc)
+    return _write_json(tmp_path / "oracle.json", doc)
+
+
+def test_fit_adaptive_samples_a_grid_above_the_full_sweep_threshold(tmp_path, capsys):
+    """18**4 = 104,976 union tuples: every sweep samples, and the model still verifies."""
+    oracle = _four_variable_oracle(tmp_path)
     model, log_path = str(tmp_path / "model.json"), tmp_path / "log.json"
     argv = ["fit-adaptive", "--oracle", oracle, "--tol", "1e-8", "--out", model]
     assert main([*argv, "--log", str(log_path)]) == 0
@@ -579,10 +584,63 @@ def test_verify_samples_a_grid_whose_tuple_count_wraps(tmp_path, capsys, monkeyp
     report = json.loads(capsys.readouterr().out)
     sweep = report["checks"]["sweep"]
     assert sweep["sampled"] is True and sweep["ok"] is True
-    # 3**32 rows: the guard refuses the Sylvester build, which is no pass and no failure
-    sylvester = report["checks"]["sylvester"]
-    assert sylvester["ok"] is None and "skipped" in sylvester
+    # 3**32 Loewner rows: sampled like the sweep, never swept whole
+    rows = report["checks"]["loewner_rows"]
+    assert rows["sampled"] is True and rows["ok"] is True
     assert report["ok"] is True
+
+
+def test_loewner_rows_catch_a_perturbed_weight_where_the_sweep_samples(tmp_path, capsys):
+    """Two supports per variable leave 16**4 = 65,536 Loewner rows, all of them checked."""
+    oracle = _four_variable_oracle(tmp_path)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--oracle", oracle, "--degrees", "1,1,1,1", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--model", str(model_path), "--oracle", oracle]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["sweep"]["sampled"] is True
+    assert checks["loewner_rows"]["sampled"] is False and checks["loewner_rows"]["ok"] is True
+
+    doc = json.loads(model_path.read_text())
+    doc["c"][0] = [1.001 * part for part in doc["c"][0]]
+    perturbed = _write_json(tmp_path / "perturbed.json", doc)
+    assert main(["verify", "--model", perturbed, "--oracle", oracle]) == 4
+    report = json.loads(capsys.readouterr().out)
+    rows = report["checks"]["loewner_rows"]
+    assert report["ok"] is False
+    assert rows["sampled"] is False and rows["ok"] is False and rows["max_error"] > 1e-8
+
+
+def test_a_model_on_every_union_point_has_no_loewner_rows(tmp_path, capsys):
+    grids = [
+        {"name": "s", "lambda": [[1, 0], [3, 0]], "mu": [[2, 0]]},
+        {"name": "t", "lambda": [[-1, 0]], "mu": [[-2, 0], [-3, 0]]},
+    ]
+    oracle = _write_json(tmp_path / "oracle.json", {"variables": grids, "expression": "(s+t)/(s*t-3)"})
+    source = load_source(oracle)
+    union = [g.union_points for g in source.grids]
+    values = source.values_on_product(union).reshape(-1)
+    doc = {
+        "variables": ["s", "t"],
+        "support": [[[p.real, p.imag] for p in points] for points in union],
+        "c": [[1.0 + 0.1 * j, 0.0] for j in range(values.size)],
+        "w": [[v.real, v.imag] for v in values],
+    }
+    model = _write_json(tmp_path / "model.json", doc)
+    assert main(["verify", "--model", model, "--oracle", oracle]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = report["checks"]["loewner_rows"]
+    assert rows == {"max_error": 0.0, "argmax": [], "sampled": False, "ok": True}
+    assert report["ok"] is True
+
+
+def test_verify_refuses_supports_off_the_data_grid(tmp_path, capsys):
+    oracle = _write_json(tmp_path / "oracle.json", FLAT_ORACLE)
+    off_grid = {"variables": ["s"], "support": [[[0, 0], [0.75, 0]]], "c": [[1, 0], [1, 0]], "w": [[1, 0], [1, 0]]}
+    model = _write_json(tmp_path / "model.json", off_grid)
+    assert main(["verify", "--model", model, "--oracle", oracle]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "0.75" in captured.err and "'s'" in captured.err
 
 
 def test_a_dense_value_count_is_checked_without_wrapping(tmp_path, capsys):
@@ -717,5 +775,5 @@ def test_a_negative_budget_is_an_input_error(oracle_2d_file, tmp_path, capsys, c
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "sample budget must be non-negative, got -3" in captured.err
+    assert "sample budget must be a non-negative integer, got -3" in captured.err
     assert not (tmp_path / "m.json").exists()

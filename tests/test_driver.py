@@ -1,5 +1,7 @@
 """End-to-end driver behavior: direct fits and greedy adaptation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from mvloewner import (
     Tableau,
     VariableGrid,
     cascaded_nullspace,
+    detect_orders,
     eval_model,
     fit_adaptive,
     fit_direct,
@@ -210,6 +213,22 @@ def test_degrees_must_be_non_negative_integers(source_2d, degrees, named):
             fit_direct(source_2d, FitOptions(nullspace_method=method, degrees=degrees))
     with pytest.raises(GridError, match=named):
         cascaded_nullspace(source_2d, degrees=degrees)
+
+
+@pytest.mark.parametrize("budget", [2.5, 10.0, True, "3", -3], ids=repr)
+def test_sample_budget_must_be_a_non_negative_integer(source_2d, budget):
+    named = rf"sample budget must be a non-negative integer, got {re.escape(repr(budget))}$"
+    with pytest.raises(ValueError, match=named):
+        detect_orders(source_2d, budget)
+    with pytest.raises(ValueError, match=named):
+        fit_direct(source_2d, FitOptions(order_sample_budget=budget))
+
+
+def test_an_integer_budget_of_any_integer_type_is_taken(source_2d):
+    expected = detect_orders(source_2d, 3)
+    assert detect_orders(source_2d, np.int64(3)) == expected
+    result = fit_direct(source_2d, FitOptions(order_sample_budget=np.int64(3)))
+    assert result.degrees == expected.degrees
 
 
 @pytest.mark.parametrize("order", [(1, 1), (0,), (-1, 0), (0, 2), "s,t"])

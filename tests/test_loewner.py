@@ -23,6 +23,7 @@ from mvloewner import (
     build_loewner_nd,
     build_sylvester_operands,
     detect_orders,
+    make_model,
     nullspace_vector,
     parse,
     sylvester_residual,
@@ -216,6 +217,46 @@ def test_blocked_residual_detects_a_perturbed_entry_in_the_last_block(source_3d)
         perturbed[-1, -1] += 1.0
         bad = LoewnerMatrix(perturbed)
         assert sylvester_residual(bad, ops) > 0.01
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(2, 5), st.integers(1, 3)), min_size=1, max_size=3),
+)
+def test_loewner_times_weights_is_the_model_residual_on_its_rows(seed, shape):
+    """``(L c)_i = v_i D(mu_i) - N(mu_i)`` with the model's own barycentric sums ``D``, ``N``.
+
+    Random samples and weights, supports a random subset of each variable's
+    union points; the Loewner matrix is the dense one over
+    ``Selection.from_supports``, whose rows are the other union points.
+    """
+    rng = np.random.default_rng(seed)
+    grids, supports = [], []
+    for l, (size, k) in enumerate(shape):
+        k = min(k, size - 1)
+        points = rng.permutation(np.linspace(-2, 2, size)) + rng.uniform(-0.05, 0.05)
+        grids.append(VariableGrid(f"x{l}", points[:k], points[k:]))
+        supports.append(rng.choice(points, size=k, replace=False))
+    extents = tuple(g.union_points.size for g in grids)
+    source = DenseSource(Tableau(grids, rng.normal(size=extents) + 1j * rng.normal(size=extents)))
+    total = int(np.prod([s.size for s in supports]))
+    c = rng.normal(size=total) + 1j * rng.normal(size=total)
+    model = make_model(supports, c, source.values_on_product(supports))
+    selection = Selection.from_supports(source, supports)
+
+    lm = build_loewner_nd(source, selection)
+    mesh = np.meshgrid(*selection.row_points, indexing="ij")
+    rows = np.stack([axis.reshape(-1) for axis in mesh], axis=1)
+    factors = model_module._point_factors(model.support_points, rows)
+    denominator, numerator = model_module._contract_points(model.weights, factors).T
+    v = source.values_on_product(selection.row_points).reshape(-1)
+    residual = np.abs(lm.entries @ c - (v * denominator - numerator))
+    # both sides sum the same terms (v_i - w_J) c_J / prod_l (mu - lambda)
+    pairs = zip(selection.row_points, supports)
+    cauchy = np.abs(functools.reduce(np.kron, [1 / np.subtract.outer(r, s) for r, s in pairs]))
+    scale = np.abs(v) * (cauchy @ np.abs(c)) + cauchy @ np.abs(model.weights_beta)
+    assert np.all(residual <= 1e-13 * scale)
 
 
 def _traced_peak(call):
