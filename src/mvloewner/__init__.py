@@ -16,7 +16,6 @@ from .cascade import (
     cascaded_nullspace,
     flop_cascade,
     flop_full,
-    flop_worst_case,
     make_flop_report,
     memory_estimate,
     optimal_variable_order,
@@ -74,14 +73,11 @@ from .realize import (
     VariableSplit,
     build_pseudo_companion,
     build_realization,
-    check_r_minimality,
     compress_realization,
     eval_realization,
     load_realization,
     make_split,
-    multi_indices,
     optimal_split,
-    polynomial_determinant,
     realization_from_dict,
     realization_to_dict,
     resolve_split,

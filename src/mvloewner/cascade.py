@@ -60,21 +60,6 @@ def flop_full(counts):
     return math.prod(counts) ** 3
 
 
-def flop_worst_case(k, n):
-    """Cascade flops when all n variables share the same count k.
-
-    Equals ``k**3 + k**4 + ... + k**(n+2)``; for ``k == 1`` the geometric
-    sum degenerates to ``n``.
-    """
-    k = int(k)
-    n = int(n)
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    if k == 1:
-        return n
-    return k**3 * (k**n - 1) // (k - 1)
-
-
 def memory_estimate(counts, method):
     """Peak bytes of the weight computation, at 16 bytes per complex entry.
 

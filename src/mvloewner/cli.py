@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cascade import make_flop_report
 from .driver import FitOptions, fit_adaptive, fit_direct
-from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError
+from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError, PoleError
 from .grids import Selection, _complex_to_pairs, load_source
 from .loewner import _guard_dense, detect_orders
 from .model import _eval_on_grid, _sweep, eval_model, load_model, model_to_dict
@@ -189,11 +189,23 @@ def cmd_realize(args):
     return EXIT_OK
 
 
+def _same_variables(label, names, other_label, other_names):
+    """Refuse files whose variables differ in name or order: verify pairs them by position."""
+    if list(names) != list(other_names):
+        raise MvLoewnerError(
+            f"the {label}'s variables {list(names)} are not the {other_label}'s {list(other_names)}"
+        )
+
+
 def cmd_verify(args):
     if not args.tol >= 0:
         raise MvLoewnerError(f"sweep tolerance must be a non-negative number, got {args.tol}")
     source = load_source(args.data)
     model = load_model(args.model)
+    _same_variables("model", model.variable_names, "data", source.names)
+    realization = load_realization(args.realization) if args.realization else None
+    if realization is not None:
+        _same_variables("realization", realization.variable_names, "model", model.variable_names)
     checks = {}
 
     support_values = source.values_on_product(model.support_points).reshape(-1)
@@ -222,8 +234,7 @@ def cmd_verify(args):
             "ok": bool(np.isfinite(error) and error <= args.tol * scale),
         }
 
-    if args.realization:
-        realization = load_realization(args.realization)
+    if realization is not None:
         rng = np.random.default_rng(args.seed)
         points = [
             [
@@ -392,7 +403,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateNullspaceError as exc:
+    except (DegenerateNullspaceError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except NotConvergedError as exc:

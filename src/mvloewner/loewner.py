@@ -211,10 +211,8 @@ class NullspaceResult:
 
     ``vector`` is normalized so its anchor entry equals one; if the
     requested anchor entry was negligible the vector is re-anchored at its
-    largest entry and ``anchor`` reports the index actually used.
-    ``degenerate`` is set whenever the null-space dimension ``k - rank`` is
-    not exactly one at the given tolerance (no null vector, or more than
-    one; an all-zero matrix has rank 0).
+    largest entry and ``anchor`` reports the index actually used.  An
+    all-zero matrix has rank 0.
     """
 
     vector: np.ndarray
@@ -222,7 +220,6 @@ class NullspaceResult:
     sigma_min: float
     sigma_next: float
     anchor: int
-    degenerate: bool
 
 
 def nullspace_vector(matrix, anchor=-1):
@@ -256,7 +253,7 @@ def nullspace_vector(matrix, anchor=-1):
     if abs(vector[anchor_idx]) < 1e-10 * peak:
         anchor_idx = int(np.argmax(np.abs(vector)))
     vector = vector / vector[anchor_idx]
-    return NullspaceResult(vector, rank, float(sigma[-1]), sigma_next, anchor_idx, k - rank != 1)
+    return NullspaceResult(vector, rank, float(sigma[-1]), sigma_next, anchor_idx)
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,16 @@ constant ``C = beta`` and ``B = -e_k``.
 Evaluation never forms ``Phi``.  Block elimination leaves
 ``H = y^T B_lag g / y^T A_lag g`` (``-C g / a_lag g`` with one variable),
 with ``g`` and ``y`` the Kronecker products of the right and left
-companions' last inverse columns; :func:`eval_realization` and the
-compressed ``evaluate`` contract these with the barycentric model's point
-kernel, O(K) per point.  Only ``phi()`` (full or compressed), the
-minimality check and the ``M1`` determinant build dense matrices, and
-each of them passes the memory guard first: a realization too large for a
-dense ``Phi`` (the ``"first"`` split of an 8-variable model, m = 5,835)
-still evaluates, while its ``phi()`` is refused.
+companions' last inverse columns; :func:`eval_realization` contracts
+these with the barycentric model's point kernel, O(K) per point.  Only
+``phi()`` (full or compressed) builds a dense matrix, and it passes the
+memory guard first: a realization too large for a dense ``Phi`` (the
+``"first"`` split of an 8-variable model, m = 5,835) still evaluates,
+while its ``phi()`` is refused.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ import numpy as np
 
 from .errors import GridError
 from .grids import _complex_to_pairs, _json_typed, _pairs_to_complex
-from .loewner import _guard_dense, _kron_of, numerical_rank
+from .loewner import _guard_dense, _kron_of
 from .model import _as_points, _evaluate
 
 LOG_PRODUCT_CUTOFF = 300
@@ -148,19 +146,6 @@ def make_split(right, counts, left=None):
     return VariableSplit(right, tuple(int(i) for i in left), tuple(int(k) for k in counts))
 
 
-def multi_indices(split):
-    """Row and column multi-indices (I, J) induced by the Kronecker order.
-
-    ``I`` enumerates left-variable support indices (length ell), ``J``
-    right-variable support indices (length kappa); in both, the leftmost
-    factor of the Kronecker product varies slowest.  Indices are 0-based
-    tuples ordered like ``split.left`` / ``split.right``.
-    """
-    j_list = list(itertools.product(*(range(split.counts[i]) for i in split.right)))
-    i_list = list(itertools.product(*(range(split.counts[i]) for i in split.left)))
-    return i_list, j_list
-
-
 def _kron_eval(companions, values):
     return _kron_of([comp.evaluate(value) for comp, value in zip(companions, values)])
 
@@ -194,11 +179,12 @@ class GeneralizedRealization:
     def a_lag(self):
         """``ell``-by-``kappa`` denominator weights.
 
-        Entry ``(q, r)`` is the weight at the full multi-index combining
-        ``I_q`` and ``J_r`` (see :func:`multi_indices`); ``b_lag`` likewise
-        holds the numerator weights.  Both unfold the weight tensor with
-        the left variables as rows and the right ones as columns.  With a
-        single variable, ``a_lag`` is the row ``-c^T``.
+        Entry ``(q, r)`` is the weight at the ``q``-th left and ``r``-th
+        right support tuples, both in Kronecker order (the leftmost
+        variable varies slowest); ``b_lag`` likewise holds the numerator
+        weights.  Both unfold the weight tensor with the left variables as
+        rows and the right ones as columns.  With a single variable,
+        ``a_lag`` is the row ``-c^T``.
         """
         return self.weights[0].reshape(self.split.ell, self.split.kappa)
 
@@ -341,31 +327,6 @@ def compress_realization(realization):
     return CompressedRealization(realization)
 
 
-def check_r_minimality(realization, sample_points):
-    """Rank check of [Phi B] and [C; Phi] at each sample point, at ``DEFAULT_RANK_TOL``.
-
-    Both must have full rank m everywhere; returns one report dict per
-    point with the two ranks and an ``ok`` flag.
-    """
-    m = realization.order
-    reports = []
-    for point in sample_points:
-        phi = realization.phi(point)
-        controllable = np.hstack([phi, realization.b_vector[:, None]])
-        observable = np.vstack([realization.c_vector[None, :], phi])
-        rank_ctrl = int(numerical_rank(np.linalg.svd(controllable, compute_uv=False)))
-        rank_obs = int(numerical_rank(np.linalg.svd(observable, compute_uv=False)))
-        reports.append(
-            {
-                "point": tuple(complex(v) for v in point),
-                "rank_phi_b": rank_ctrl,
-                "rank_c_phi": rank_obs,
-                "ok": rank_ctrl == m and rank_obs == m,
-            }
-        )
-    return reports
-
-
 def optimal_split(degrees):
     """Split minimizing the realization dimension m = 2*ell + kappa - 1.
 
@@ -409,47 +370,6 @@ def resolve_split(spec, counts):
     if spec in ("first", "auto"):
         return make_split((0,), counts)
     return make_split(spec, counts)
-
-
-def polynomial_determinant(coefficients, companions, form, point):
-    """Determinant of the stacked-companion polynomial constructions.
-
-    ``coefficients`` is the Lagrange coefficient matrix (rows indexed by
-    the first variable; a 1-D array for a single variable).  ``form``
-    selects the construction:
-
-    * ``"M1"``: the Kronecker stack, all non-weight rows of the Kronecker
-      product of the companions closed by the row-major vectorized
-      coefficients (any number of variables).
-    * ``"M2"``: the two-variable split form, first-variable rows over
-      ``[coefficients^T | second-variable rows transposed]``.
-    """
-    coeffs = np.atleast_2d(np.asarray(coefficients, dtype=complex))
-    values = [complex(v) for v in np.atleast_1d(point)]
-    if form == "M1":
-        size = math.prod(comp.size for comp in companions)
-        _guard_dense(size, size)
-        kron = _kron_eval(companions, values)
-        stacked = np.vstack([kron[: size - 1, :], coeffs.reshape(1, -1)])
-        if stacked.shape != (size, size):
-            raise GridError("coefficient count does not match the companion sizes")
-        return complex(np.linalg.det(stacked))
-    if form == "M2":
-        if len(companions) != 2:
-            raise GridError("the split form needs exactly two companions")
-        first, second = companions
-        p1, p2 = first.size, second.size
-        if coeffs.shape != (p1, p2):
-            raise GridError(f"coefficient matrix must be {p1}x{p2}, got {coeffs.shape}")
-        s_mat = first.evaluate(values[0])
-        t_mat = second.evaluate(values[1])
-        top = np.hstack([s_mat[: p1 - 1, :], np.zeros((p1 - 1, p2 - 1), dtype=complex)])
-        bottom = np.hstack([coeffs.T, t_mat[: p2 - 1, :].T])
-        # the transposed right block contributes a fixed column-permutation
-        # parity of (-1)**(p2 - 1); normalize so both forms agree
-        sign = -1.0 if (p2 - 1) % 2 else 1.0
-        return complex(sign * np.linalg.det(np.vstack([top, bottom])))
-    raise ValueError(f"unknown form {form!r}")
 
 
 # --- JSON interchange ---------------------------------------------------

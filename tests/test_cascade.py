@@ -13,13 +13,13 @@ from mvloewner import (
     cascaded_nullspace,
     flop_cascade,
     flop_full,
-    flop_worst_case,
     memory_estimate,
     nullspace_vector,
     optimal_variable_order,
     recombine,
 )
 from conftest import C2_EXPECTED, C3_EXPECTED, KST_BARY
+from reference import flop_worst_case
 
 from synthetic import densify_model, random_model
 

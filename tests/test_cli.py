@@ -352,6 +352,41 @@ def test_verify_refuses_hand_edited_realizations(tmp_path, source_2d, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _swap_s_and_t(text):
+    return text.replace('"s"', '"_"').replace('"t"', '"s"').replace('"_"', '"t"')
+
+
+def _declared_in_reverse(text):
+    doc = json.loads(text)
+    return json.dumps(dict(doc, variables=doc["variables"][::-1]))
+
+
+RELABELLINGS = {
+    # the same model or realization with its variables called (t, s)
+    "model": _swap_s_and_t,
+    "realization": _swap_s_and_t,
+    # the same function, its variables declared in the order (t, s)
+    "data": _declared_in_reverse,
+}
+
+
+@pytest.mark.parametrize("relabelled", sorted(RELABELLINGS))
+def test_verify_refuses_variables_that_differ_in_name_or_order(oracle_2d_file, tmp_path, capsys, relabelled):
+    paths = {"data": oracle_2d_file, "model": str(tmp_path / "m.json"), "realization": str(tmp_path / "r.json")}
+    main(["fit", "--data", paths["data"], "--out", paths["model"]])
+    main(["realize", "--model", paths["model"], "--out", paths["realization"]])
+    capsys.readouterr()
+    edited = tmp_path / f"relabelled_{relabelled}.json"
+    with open(paths[relabelled], encoding="utf-8") as fh:
+        edited.write_text(RELABELLINGS[relabelled](fh.read()))
+    paths[relabelled] = str(edited)
+    argv = ["verify", "--model", paths["model"], "--data", paths["data"], "--realization", paths["realization"]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "['s', 't']" in captured.err and "['t', 's']" in captured.err
+
+
 @pytest.mark.parametrize(
     "entry, named",
     [
@@ -495,6 +530,16 @@ def test_eval_of_a_value_lost_to_overflow_is_degenerate(tmp_path, capsys):
     assert main(["eval", "--model", model, "--point", "0.25"]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_at_a_pole_is_degenerate(tmp_path, capsys):
+    # D(0.5) = 1/0.5 + 1/(0.5 - 1) = 0
+    pole = {"variables": ["s"], "support": [[[0, 0], [1, 0]]], "c": [[1, 0], [1, 0]], "w": [[1, 0], [2, 0]]}
+    model = _write_json(tmp_path / "model.json", pole)
+    assert main(["eval", "--model", model, "--point", "0.5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "denominator vanishes" in captured.err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -291,20 +291,17 @@ def test_nullspace_1d_golden(source_1d):
     lm = build_loewner_nd(source_1d)
     result = nullspace_vector(lm)
     assert result.rank == 2
-    assert not result.degenerate
     np.testing.assert_allclose(result.vector.real, C1_EXPECTED, atol=1e-12)
 
 
 def test_nullspace_identity_flags_degenerate():
     result = nullspace_vector(np.eye(2))
     assert result.rank == 2
-    assert result.degenerate
 
 
 def test_nullspace_zero_matrix():
     result = nullspace_vector(np.zeros((3, 3)))
     assert result.rank == 0
-    assert result.degenerate
     assert np.isclose(np.abs(result.vector).max(), 1.0)
 
 
@@ -325,23 +322,19 @@ def test_nullspace_of_a_tall_matrix_holds_no_square_left_factor():
     matrix = rng.normal(size=(3000, 10)) + 1j * rng.normal(size=(3000, 10))
     result, peak = _traced_peak(lambda: nullspace_vector(matrix))
     assert peak <= 2 * matrix.nbytes
-    assert result.rank == 10 and result.degenerate
+    assert result.rank == 10
 
 
 def _full_svd_reference(matrix, anchor=-1):
-    """Null vector, rank, anchor, smallest singular value and flag from the full SVD."""
+    """Null vector, rank, anchor and smallest singular value from the full SVD."""
     k = matrix.shape[1]
     _, sigma, vh = np.linalg.svd(matrix, full_matrices=True)
     rank = int(np.sum(sigma > 1e-8 * sigma[0]))
-    if sigma[0] == 0.0:
-        degenerate = k != 1  # one support point has the unique trivial weight
-    else:
-        degenerate = k - rank != 1
     vector = np.conj(vh[-1])
     index = anchor % k
     if abs(vector[index]) < 1e-10 * np.max(np.abs(vector)):
         index = int(np.argmax(np.abs(vector)))
-    return vector / vector[index], rank, index, float(sigma[-1]), degenerate
+    return vector / vector[index], rank, index, float(sigma[-1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,14 +348,11 @@ def test_nullspace_of_square_and_wide_matrices_matches_the_full_svd(seed, k, dat
     matrix = left @ right
     anchor = data.draw(st.integers(-k, k - 1))
     result = nullspace_vector(matrix, anchor=anchor)
-    vector, expected_rank, expected_anchor, sigma_min, degenerate = _full_svd_reference(
-        matrix, anchor
-    )
+    vector, expected_rank, expected_anchor, sigma_min = _full_svd_reference(matrix, anchor)
     assert result.vector.tobytes() == vector.tobytes()
     assert result.rank == expected_rank
     assert result.anchor == expected_anchor
     assert result.sigma_min == sigma_min
-    assert result.degenerate == degenerate
 
 
 def test_detect_orders_on_worked_examples(source_2d, source_synth2d):

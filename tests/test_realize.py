@@ -18,22 +18,20 @@ from mvloewner import (
     build_loewner_nd,
     build_pseudo_companion,
     build_realization,
-    check_r_minimality,
     compress_realization,
     eval_model,
     eval_realization,
     make_model,
     make_split,
-    multi_indices,
     nullspace_vector,
     optimal_split,
-    polynomial_determinant,
     realization_from_dict,
     realization_to_dict,
     resolve_split,
 )
 from mvloewner.realize import LOG_PRODUCT_CUTOFF, lagrange_inverse_weights
 from conftest import C2_EXPECTED
+from reference import check_r_minimality, multi_indices, polynomial_determinant
 
 
 def _model_from_source(source):
