@@ -38,7 +38,6 @@ from .grids import (
     DataSource,
     DenseSource,
     OracleSource,
-    Selection,
     Tableau,
     VariableGrid,
     load_source,

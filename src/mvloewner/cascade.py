@@ -5,7 +5,8 @@ assembled from single-variable null spaces taken level by level along the
 recursion order: level ``l`` solves one small SVD along variable
 ``order[l]`` for each support tuple of the earlier variables, with every
 later variable frozen at its anchor support point (level 0 is a single
-node).
+node).  The supports and rows come from one ``VariableGrid`` per variable,
+its rows cut to the ones nearest its supports.
 Every node vector is normalized to one at the anchor entry of its
 variable and scaled by its parent coefficient, which makes the whole
 weight vector factor into per-variable arrays (``DecoupledWeights``)
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNullspaceError, GridError
-from .grids import Selection, _check_degrees
+from .grids import _check_degrees
 from .loewner import BYTES_PER_ENTRY, build_loewner_1d, nullspace_vector
 
 _MAX_REANCHOR_PASSES = 8
@@ -199,8 +200,8 @@ def cascaded_nullspace(source, degrees=None, selection=None, order=None):
     degrees : sequence of int, optional
         Degrees per variable; support counts become ``degrees + 1`` over
         evenly spread column points.  Ignored when ``selection`` is given.
-    selection : Selection, optional
-        Explicit per-variable column/row points.
+    selection : sequence of VariableGrid, optional
+        One grid per variable: supports as columns, candidate rows as rows.
     order : sequence of int, optional
         Recursion order (a :func:`resolve_order` spec); defaults to
         descending support count (the flop-optimal order).
@@ -224,11 +225,11 @@ def cascaded_nullspace(source, degrees=None, selection=None, order=None):
     if selection is None:
         if degrees is None:
             raise ValueError("need either degrees or an explicit selection")
-        counts = [d + 1 for d in _check_degrees(source, degrees)]
-        selection = Selection.spread_columns(source, counts)
-    counts = selection.counts
+        degrees = _check_degrees(source, degrees)
+        selection = [g.spread_columns(d + 1) for g, d in zip(source.grids, degrees)]
+    counts = [g.column_points.size for g in selection]
     order = resolve_order(order, counts)
-    selection = selection.nearest_rows()
+    selection = [g.nearest_rows() for g in selection]
 
     anchors = [k - 1 for k in counts]
 
@@ -263,7 +264,8 @@ def _level_pass(source, selection, order, anchors):
     ``(None, (variable, index))`` as soon as a node's anchor weight
     vanishes and ``variable`` must be re-anchored at ``index``.
     """
-    cols, rows = selection.col_points, selection.row_points
+    cols = [g.column_points for g in selection]
+    rows = [g.row_points for g in selection]
     frozen = [c[a : a + 1] for c, a in zip(cols, anchors)]
     factors = []
     for level, variable in enumerate(order):

@@ -22,7 +22,7 @@ from . import __version__
 from .cascade import make_flop_report
 from .driver import FitOptions, fit_adaptive, fit_direct
 from .errors import DegenerateNullspaceError, MvLoewnerError, NotConvergedError, PoleError
-from .grids import Selection, _complex_to_pairs, load_source
+from .grids import _complex_to_pairs, load_source
 from .loewner import _guard_dense, detect_orders
 from .model import _eval_on_grid, _sweep, eval_model, load_model, model_to_dict
 from .realize import (
@@ -218,15 +218,12 @@ def cmd_verify(args):
     checks["interpolation"] = {"max_relative_error": interp_err, "ok": bool(interp_err <= 1e-9)}
 
     # the model's error on its own Loewner rows: (L c)_i = D(mu_i) (v_i - H(mu_i))
-    rows = Selection.from_supports(source, model.support_points).row_points
+    rows = [g.with_supports(s).row_points for g, s in zip(source.grids, model.support_points)]
     pools = {"loewner_rows": rows, "sweep": [g.union_points for g in source.grids]}
     sweeps = {name: _sweep(model, source, lists, args.seed) for name, lists in pools.items()}
-    scale = 1.0 + float(
-        np.max(np.abs(source.tableau.values))
-        if hasattr(source, "tableau")
-        else np.abs(source.values_on_product([[v] for v in sweeps["sweep"][1]])).item()
-    )
-    for name, (error, location, sampled) in sweeps.items():
+    # the data scale: one plus the largest |sample| that the union sweep read
+    scale = 1.0 + sweeps["sweep"][3]
+    for name, (error, location, sampled, _) in sweeps.items():
         checks[name] = {
             "max_error": float(error),
             "argmax": _complex_to_pairs(location),

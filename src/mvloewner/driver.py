@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .cascade import cascaded_nullspace, make_flop_report, resolve_order
 from .errors import DegenerateNullspaceError, NotConvergedError
-from .grids import Selection, _check_degrees, _complex_to_pairs
+from .grids import _check_degrees, _complex_to_pairs
 from .loewner import build_loewner_nd, detect_orders, nullspace_vector
 from .model import make_model, max_error, sweep_is_sampled
 from .realize import build_realization
@@ -90,12 +90,13 @@ def _max_supports(grid):
 
 
 def _fit_selection(source, selection, opts):
-    """Model on a selection by the configured method, and its flop report.
+    """Model on a selection (one grid per variable) by the configured method, and its flop report.
 
     The weights are normalized at the all-anchors entry (cascade) or the
     last entry (full SVD).
     """
-    counts = selection.counts
+    supports = [g.column_points for g in selection]
+    counts = tuple(p.size for p in supports)
     order = resolve_order(opts.variable_order, counts)
     if opts.nullspace_method == "cascaded":
         result = cascaded_nullspace(source, selection=selection, order=order)
@@ -110,8 +111,8 @@ def _fit_selection(source, selection, opts):
                 "high, reduce them",
             )
         weights, report = result.vector, make_flop_report(counts, order)
-    values = source.values_on_product(selection.col_points).reshape(-1)
-    return make_model(selection.col_points, weights, values, names=source.names), report
+    values = source.values_on_product(supports).reshape(-1)
+    return make_model(supports, weights, values, names=source.names), report
 
 
 def fit_direct(source, opts=None):
@@ -136,7 +137,8 @@ def fit_direct(source, opts=None):
             )
             k = limit
         counts.append(k)
-    model, report = _fit_selection(source, Selection.spread_columns(source, counts), opts)
+    selection = [g.spread_columns(k) for g, k in zip(source.grids, counts)]
+    model, report = _fit_selection(source, selection, opts)
     degrees_final = tuple(k - 1 for k in model.counts)
     realization = build_realization(model, opts.split)
     return FitResult(model, realization, report, degrees_final)
@@ -162,8 +164,8 @@ def fit_adaptive(source, tol, opts=None):
     best = None
 
     while True:
-        selection = Selection.from_supports(source, chosen).nearest_rows()
-        counts = selection.counts
+        selection = [g.with_supports(c).nearest_rows() for g, c in zip(grids, chosen)]
+        counts = tuple(g.column_points.size for g in selection)
         try:
             model, report = _fit_selection(source, selection, opts)
         except DegenerateNullspaceError as exc:

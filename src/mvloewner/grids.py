@@ -8,6 +8,9 @@ with variable 0 varying slowest.  Point comparisons are exact on the
 stored binary values.  Every divided difference divides by a point
 difference, so a grid whose column and row points are not pairwise
 distinct is refused when it is built.
+
+A fit's selection is one grid per variable too: its supports as columns
+and the other union points as rows.  The data's own grids are the full one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ def _as_complex_vector(values, what):
     arr = np.atleast_1d(np.asarray(values, dtype=complex))
     if arr.ndim != 1:
         raise GridError(f"{what} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise GridError(f"{what} contains non-finite entries")
     return arr
 
@@ -43,12 +46,14 @@ class VariableGrid:
     def __init__(self, name, column_points, row_points=()):
         object.__setattr__(self, "name", str(name))
         cols = _as_complex_vector(column_points, f"column points of {name!r}")
-        rows = _as_complex_vector(row_points, f"row points of {name!r}") if len(row_points) else np.zeros(0, complex)
+        rows = _as_complex_vector(row_points, f"row points of {name!r}")
         if cols.size < 1:
             raise GridError(f"variable {name!r} needs at least one column point")
-        values, counts = np.unique(np.concatenate([cols, rows]), return_counts=True)
-        if np.any(counts > 1):
-            raise GridError(f"variable {name!r} repeats the grid point {values[counts > 1][0]}")
+        # one sort; a repeat sits next to its twin
+        points = np.sort(np.concatenate([cols, rows]))
+        repeats = np.flatnonzero(points[1:] == points[:-1])
+        if repeats.size:
+            raise GridError(f"variable {name!r} repeats the grid point {points[repeats[0]]}")
         object.__setattr__(self, "column_points", cols)
         object.__setattr__(self, "row_points", rows)
 
@@ -73,6 +78,47 @@ class VariableGrid:
             missing = values[~found][0]
             raise OffGridError(f"{missing} is not a grid point of variable {self.name!r}")
         return order[pos]
+
+    def with_supports(self, points):
+        """The given grid points as columns, every other union point as rows, in union order."""
+        rows = np.delete(self.union_points, self.indices_of(points))
+        return VariableGrid(self.name, points, rows)
+
+    def spread_columns(self, k):
+        """``k`` column points at evenly strided indices, as :meth:`with_supports`.
+
+        Support points clustered at one end of the domain condition the
+        weight systems badly; striding keeps the endpoints and spreads the
+        interior.  Leftover column points join the rows, ahead of the row points.
+        """
+        k = int(k)
+        lam = self.column_points
+        if k < 1 or k > lam.size:
+            raise GridError(f"variable {self.name!r} has {lam.size} column points, cannot select {k}")
+        # a stride of at least 1 keeps the rounded indices distinct
+        return self.with_supports(lam[np.round(np.linspace(0, lam.size - 1, k)).astype(int)])
+
+    def nearest_rows(self):
+        """The same columns with at most k rows: the nearest ones.
+
+        A 1-D weight system with more rows than supports is a least-squares
+        problem; rows near the support set condition it far better than an
+        arbitrary prefix, and the square shape matches the ``k**3``
+        accounting convention.  A grid with at most k rows is returned
+        itself; one with fewer than k-1 rows cannot reveal a null space and
+        raises :class:`GridError`.
+        """
+        cols, pool = self.column_points, self.row_points
+        k = cols.size
+        if pool.size <= k:
+            if pool.size < k - 1:
+                raise GridError(
+                    f"variable {self.name!r} has {pool.size} row points, "
+                    f"need at least {k - 1} for {k} support points"
+                )
+            return self
+        distances = np.min(np.abs(pool[:, None] - cols[None, :]), axis=1)
+        return VariableGrid(self.name, cols, pool[np.argsort(distances, kind="stable")[:k]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,95 +272,6 @@ def _check_degrees(source, degrees):
     return tuple(int(d) for d in degrees)
 
 
-@dataclass(frozen=True, eq=False)
-class Selection:
-    """Per-variable choice of column (support) and row points."""
-
-    col_points: tuple
-    row_points: tuple
-
-    def __init__(self, col_points, row_points):
-        object.__setattr__(
-            self, "col_points", tuple(np.asarray(p, dtype=complex) for p in col_points)
-        )
-        object.__setattr__(
-            self, "row_points", tuple(np.asarray(p, dtype=complex) for p in row_points)
-        )
-        if len(self.col_points) != len(self.row_points):
-            raise GridError("selection needs one column list and one row list per variable")
-        for l, (cols, rows) in enumerate(zip(self.col_points, self.row_points)):
-            if cols.size < 1:
-                raise GridError(f"selection for variable {l} has no column points")
-            common = np.intersect1d(cols, rows)
-            if common.size:
-                raise GridError(
-                    f"selection for variable {l} has coincident column/row points {common[:3]}"
-                )
-
-    @property
-    def counts(self):
-        return tuple(p.size for p in self.col_points)
-
-    @property
-    def row_counts(self):
-        return tuple(p.size for p in self.row_points)
-
-    def nearest_rows(self):
-        """The same columns with, per variable, at most k rows: the nearest ones.
-
-        A 1-D weight system with more rows than supports is a least-squares
-        problem; rows near the support set condition it far better than an
-        arbitrary prefix, and the square shape matches the ``k**3``
-        accounting convention.  A variable with at most k rows keeps them
-        in their order; one with fewer than k-1 rows cannot reveal a null
-        space and raises :class:`GridError`.
-        """
-        rows = []
-        for l, (cols, pool) in enumerate(zip(self.col_points, self.row_points)):
-            k = cols.size
-            if pool.size > k:
-                distances = np.min(np.abs(pool[:, None] - cols[None, :]), axis=1)
-                pool = pool[np.argsort(distances, kind="stable")[:k]]
-            elif pool.size < k - 1:
-                raise GridError(
-                    f"variable {l} has {pool.size} row points, "
-                    f"need at least {k - 1} for {k} support points"
-                )
-            rows.append(pool)
-        return Selection(self.col_points, rows)
-
-    @classmethod
-    def from_supports(cls, source, supports):
-        """The given grid points as columns, every other union point as rows, in union order."""
-        rows = [np.delete(g.union_points, g.indices_of(s)) for g, s in zip(source.grids, supports)]
-        return cls(supports, rows)
-
-    @classmethod
-    def full(cls, source):
-        """All stored columns as columns, all stored rows as rows."""
-        return cls.from_supports(source, [g.column_points for g in source.grids])
-
-    @classmethod
-    def spread_columns(cls, source, counts):
-        """``counts[l]`` column points at evenly strided indices of each list.
-
-        Support points clustered at one end of the domain condition the
-        weight systems badly; striding keeps the endpoints and spreads the
-        interior.  Leftover column points join the rows, ahead of the row points.
-        """
-        supports = []
-        for grid, k in zip(source.grids, counts):
-            k = int(k)
-            lam = grid.column_points
-            if k < 1 or k > lam.size:
-                raise GridError(
-                    f"variable {grid.name!r} has {lam.size} column points, cannot select {k}"
-                )
-            # a stride of at least 1 keeps the rounded indices distinct
-            supports.append(lam[np.round(np.linspace(0, lam.size - 1, k)).astype(int)])
-        return cls.from_supports(source, supports)
-
-
 # --- JSON interchange ---------------------------------------------------
 
 
@@ -352,8 +309,10 @@ def _complex_to_pairs(values):
 
 
 def _grids_from_json(entries):
+    if not _json_typed(entries, list, "variables"):
+        raise GridError("the data file declares no variables")
     grids = []
-    for l, entry in enumerate(_json_typed(entries, list, "variables")):
+    for l, entry in enumerate(entries):
         name = _json_typed(entry, dict, f"variables entry {l}")["name"]
         grids.append(
             VariableGrid(

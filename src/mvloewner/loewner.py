@@ -1,7 +1,7 @@
 """Loewner matrices, their Sylvester characterization, and SVD null spaces.
 
-The n-D Loewner matrix over a selection of column points ``lambda`` and
-row points ``mu`` has entries
+The n-D Loewner matrix over a selection, one :class:`~mvloewner.grids.VariableGrid`
+per variable with column points ``lambda`` and row points ``mu``, has entries
 
     L[i, j] = (v_i - w_j) / prod_l (mu_l[i_l] - lambda_l[j_l]),
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import model
 from .errors import GridError, MemoryGuardError
-from .grids import Selection
 
 DEFAULT_RANK_TOL = 1e-8
 BYTES_PER_ENTRY = 16  # one complex double
@@ -107,8 +106,9 @@ def build_loewner_nd(source, selection=None):
     Parameters
     ----------
     source : DataSource
-    selection : Selection, optional
-        Defaults to all stored columns versus all stored rows.
+    selection : sequence of VariableGrid, optional
+        One grid per variable; defaults to ``source.grids``, all stored
+        columns versus all stored rows.
 
     Raises
     ------
@@ -116,20 +116,18 @@ def build_loewner_nd(source, selection=None):
         If the matrix would exceed ``DEFAULT_MEMORY_GUARD`` bytes; it
         carries the estimate.
     """
-    if selection is None:
-        selection = Selection.full(source)
-    rows, cols = math.prod(selection.row_counts), math.prod(selection.counts)
+    grids = source.grids if selection is None else selection
+    col_points = [g.column_points for g in grids]
+    row_points = [g.row_points for g in grids]
+    rows, cols = math.prod(p.size for p in row_points), math.prod(p.size for p in col_points)
     _guard_dense(rows, cols)
-    diff_mats = [
-        _check_disjoint_1d(col_pts, row_pts)
-        for col_pts, row_pts in zip(selection.col_points, selection.row_points)
-    ]
-    w = source.values_on_product(selection.col_points).reshape(-1)
-    v = source.values_on_product(selection.row_points).reshape(-1)
+    diff_mats = [_check_disjoint_1d(c, r) for c, r in zip(col_points, row_points)]
+    w = source.values_on_product(col_points).reshape(-1)
+    v = source.values_on_product(row_points).reshape(-1)
     entries = np.empty((rows, cols), dtype=complex)
     # the rows of one variable-0 row point, and how many such slabs make a block
-    per_slab = math.prod(selection.row_counts[1:])
-    for slabs in model._blocks(selection.row_counts[0], BYTES_PER_ENTRY * per_slab * cols):
+    per_slab = math.prod(p.size for p in row_points[1:])
+    for slabs in model._blocks(row_points[0].size, BYTES_PER_ENTRY * per_slab * cols):
         block = slice(slabs.start * per_slab, slabs.stop * per_slab)
         np.subtract(v[block, None], w[None, :], out=entries[block])
         entries[block] /= _kron_of([diff_mats[0][slabs], *diff_mats[1:]])
@@ -137,28 +135,21 @@ def build_loewner_nd(source, selection=None):
 
 
 def build_sylvester_operands(source, selection=None):
-    """Kronecker-diagonal factors and data vectors matching build_loewner_nd."""
-    if selection is None:
-        selection = Selection.full(source)
-    counts = selection.counts
-    row_counts = selection.row_counts
-    n = len(counts)
-    lambda_diags = []
-    mu_diags = []
-    for l in range(n):
-        lam_parts = [
-            selection.col_points[i] if i == l else np.ones(counts[i], dtype=complex)
-            for i in range(n)
-        ]
-        mu_parts = [
-            selection.row_points[i] if i == l else np.ones(row_counts[i], dtype=complex)
-            for i in range(n)
-        ]
-        lambda_diags.append(_kron_of(lam_parts))
-        mu_diags.append(_kron_of(mu_parts))
-    w = source.values_on_product(selection.col_points).reshape(-1)
-    v = source.values_on_product(selection.row_points).reshape(-1)
-    return SylvesterOperands(tuple(lambda_diags), tuple(mu_diags), w, v)
+    """Kronecker-diagonal factors and data vectors matching build_loewner_nd, on the same grids."""
+    grids = source.grids if selection is None else selection
+    col_points = [g.column_points for g in grids]
+    row_points = [g.row_points for g in grids]
+    w = source.values_on_product(col_points).reshape(-1)
+    v = source.values_on_product(row_points).reshape(-1)
+    return SylvesterOperands(_kron_diagonals(col_points), _kron_diagonals(row_points), w, v)
+
+
+def _kron_diagonals(point_lists):
+    """Per variable, the Kronecker product of its points with ones for every other variable."""
+    return tuple(
+        _kron_of([p if i == l else np.ones(p.size, dtype=complex) for i, p in enumerate(point_lists)])
+        for l in range(len(point_lists))
+    )
 
 
 def sylvester_residual(lm, ops):

@@ -67,6 +67,8 @@ def make_model(support, c, w, names=None):
         Variable names; defaults to x1, x2, ...
     """
     support = tuple(np.asarray(p, dtype=complex) for p in support)
+    if not support:
+        raise GridError("the model declares no variables")
     for l, points in enumerate(support):
         if points.size == 0 or np.unique(points).size != points.size:
             raise GridError(f"support points of variable {l} are empty or not distinct")
@@ -240,12 +242,13 @@ def sweep_is_sampled(source):
 
 
 def _sweep(model, source, pools, seed):
-    """Largest mismatch on the product of grid-point lists ``pools``: ``(error, point, sampled)``.
+    """Largest mismatch on the product of grid-point lists ``pools``, as
+    ``(error, point, sampled, peak)``; ``peak`` is the largest |sample| read.
 
     A pole or a value lost to overflow is an infinite error at its location.
     A product of at most ``FULL_SWEEP_TUPLES`` tuples is swept whole, in one
     grid evaluation, and ``point`` is its first worst tuple in row-major
-    order (an empty product: 0 at ``()``); a larger one at ``SWEEP_SAMPLES``
+    order (an empty product: 0 at ``()``, peak 0); a larger one at ``SWEEP_SAMPLES``
     tuples drawn by ``np.random.default_rng(seed)`` and read through
     ``values_at_indices``, and ``point`` is the first worst draw.
     """
@@ -254,14 +257,16 @@ def _sweep(model, source, pools, seed):
         picks = np.random.default_rng(seed).integers(0, sizes, size=(SWEEP_SAMPLES, len(sizes)))
         points = np.stack([p[picks[:, l]] for l, p in enumerate(pools)], axis=1)
         indices = np.stack([g.indices_of(points[:, l]) for l, g in enumerate(source.grids)], axis=1)
-        mismatch = np.abs(eval_model(model, points) - source.values_at_indices(indices))
-        index, error = _first_worst(mismatch)
-        return error, tuple(points[index]), True
+        samples = source.values_at_indices(indices)
+        index, error = _first_worst(np.abs(eval_model(model, points) - samples))
+        return error, tuple(points[index]), True, float(np.max(np.abs(samples)))
     if min(p.size for p in pools) == 0:
-        return 0.0, (), False
+        return 0.0, (), False, 0.0
     values = _eval_on_grid(model, pools)
-    index, error = _first_worst(np.abs(values - source.values_on_product(pools)).reshape(-1))
-    return error, tuple(p[i] for p, i in zip(pools, np.unravel_index(index, values.shape))), False
+    samples = source.values_on_product(pools)
+    index, error = _first_worst(np.abs(values - samples).reshape(-1))
+    point = tuple(p[i] for p, i in zip(pools, np.unravel_index(index, values.shape)))
+    return error, point, False, float(np.max(np.abs(samples)))
 
 
 def max_error(model, source, seed=0):

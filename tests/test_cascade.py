@@ -222,14 +222,13 @@ def test_cascade_reanchors_on_vanishing_anchor_weight():
 
 
 def test_cascade_needs_k_minus_one_row_points(source_3d):
-    from mvloewner import GridError, Selection
+    from mvloewner import GridError, VariableGrid
 
     # three supports along p but a single row point: rank 2 cannot show
-    selection = Selection(
-        [g.column_points for g in source_3d.grids],
-        [g.row_points for g in source_3d.grids[:2]] + [source_3d.grids[2].row_points[:1]],
-    )
-    with pytest.raises(GridError, match="need at least 2 for 3 support points"):
+    p = source_3d.grids[2]
+    selection = [*source_3d.grids[:2], VariableGrid(p.name, p.column_points, p.row_points[:1])]
+    refused = "variable 'p' has 1 row points, need at least 2 for 3 support points"
+    with pytest.raises(GridError, match=refused):
         cascaded_nullspace(source_3d, selection=selection)
 
 

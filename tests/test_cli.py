@@ -822,3 +822,59 @@ def test_a_negative_budget_is_an_input_error(oracle_2d_file, tmp_path, capsys, c
     assert captured.out == ""
     assert "sample budget must be a non-negative integer, got -3" in captured.err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_verify_reads_one_data_scale_for_an_expression_and_its_values(tmp_path, capsys):
+    """The verdict is the same whether the data arrive as an expression or as its values."""
+    s = np.linspace(0.1, 2, 10)
+    grid = {"name": "s", "lambda": [[x, 0] for x in s[0::2]], "mu": [[x, 0] for x in s[1::2]]}
+    fitted = _write_json(tmp_path / "fit.json", {"variables": [grid], "expression": "1/(s-2.05)"})
+    model = str(tmp_path / "model.json")
+    assert main(["fit", "--data", fitted, "--degrees", "1", "--out", model]) == 0
+    # a bump of 1e-3 at s = 0.1, where |data| is about 0.51; the largest |sample| is about 20
+    bumped = {"variables": [grid], "expression": "1/(s-2.05) + 1e-3/(1+100*(s-0.1)^2)"}
+    oracle = _write_json(tmp_path / "oracle.json", bumped)
+    dense = _write_json(tmp_path / "dense.json", source_to_dict(load_source(oracle).densify()))
+    capsys.readouterr()
+    reports = []
+    for data in (oracle, dense):
+        main(["verify", "--model", model, "--data", data, "--tol", "1e-4"])
+        reports.append(json.loads(capsys.readouterr().out))
+    for report in reports:
+        assert report["checks"]["sweep"]["max_error"] == pytest.approx(1e-3, rel=1e-3)
+        assert report["checks"]["sweep"]["argmax"] == [[0.1, 0.0]]
+    assert {name: check["ok"] for name, check in reports[0]["checks"].items()} == {
+        name: check["ok"] for name, check in reports[1]["checks"].items()
+    }
+    assert reports[0]["checks"]["sweep"]["ok"] is True
+
+
+NO_VARIABLES_DATA = {"variables": [], "expression": "1"}
+NO_VARIABLES_MODEL = {"variables": [], "support": [], "c": [[1, 0]], "w": [[1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["order-detect", "--data", "{data}"], "the data file"),
+        (["fit", "--data", "{data}", "--out", "{out}"], "the data file"),
+        (["fit-adaptive", "--data", "{data}", "--tol", "1e-6", "--out", "{out}"], "the data file"),
+        (["verify", "--model", "{model}", "--data", "{data}"], "the data file"),
+        (["verify", "--model", "{model}", "--data", "{oracle}"], "the model"),
+        (["realize", "--model", "{model}", "--out", "{out}"], "the model"),
+        (["eval", "--model", "{model}", "--point", "1"], "the model"),
+        (["plot-data", "--model", "{model}", "--sweep", "s=0:1:3"], "the model"),
+    ],
+)
+def test_a_file_with_no_variables_is_an_input_error(oracle_2d_file, tmp_path, capsys, argv, refused):
+    paths = {
+        "data": _write_json(tmp_path / "none.json", NO_VARIABLES_DATA),
+        "model": _write_json(tmp_path / "none_model.json", NO_VARIABLES_MODEL),
+        "oracle": oracle_2d_file,
+        "out": str(tmp_path / "out.json"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused} declares no variables\n"
+    assert not (tmp_path / "out.json").exists()

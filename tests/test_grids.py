@@ -14,7 +14,6 @@ from mvloewner import (
     GridError,
     OffGridError,
     OracleSource,
-    Selection,
     Tableau,
     VariableGrid,
     evaluate,
@@ -37,6 +36,7 @@ def test_disjoint_reports_duplicate():
         ([0.1, 0.1, 0.9], [0.2, 0.4, 0.6, 0.8], r"\(0\.1\+0j\)"),
         ([1, 2], [3, 3j, 3], r"\(3\+0j\)"),
         ([0.0, 1.0], [-0.0], r"0j"),
+        ([1.0, 2.0], [2.0, 3.0], r"\(2\+0j\)"),
     ):
         with pytest.raises(GridError, match=f"variable 's' repeats the grid point {repeated}"):
             VariableGrid("s", cols, rows)
@@ -252,11 +252,6 @@ def test_json_rejects_wrong_value_count():
         source_from_dict(doc)
 
 
-def test_selection_rejects_coincident_points():
-    with pytest.raises(GridError, match="coincident"):
-        Selection([[1.0, 2.0]], [[2.0, 3.0]])
-
-
 def _full_by_hand(source):
     """The stored columns as columns and the stored rows as rows, listed directly."""
     return [g.column_points for g in source.grids], [g.row_points for g in source.grids]
@@ -275,18 +270,29 @@ def _spread_by_hand(source, counts):
     return cols, rows
 
 
+def _supports_by_hand(source, supports):
+    """The supports as columns; every other union point, in union order, as rows."""
+    rows = [
+        np.array([p for p in g.union_points if p not in s], dtype=complex)
+        for g, s in zip(source.grids, supports)
+    ]
+    return [np.asarray(s, dtype=complex) for s in supports], rows
+
+
 @st.composite
 def disjoint_sources_and_counts(draw):
     """1-3 variables of distinct complex points, 1-6 columns and 0-5 rows each,
-    with a support count of at most the column count per variable."""
+    with a support count of at most the column count per variable and as
+    many supports drawn from its union points, in random order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grids, counts = [], []
+    grids, counts, supports = [], [], []
     for l in range(draw(st.integers(1, 3))):
         k, q = draw(st.integers(1, 6)), draw(st.integers(0, 5))
         points = rng.permutation(rng.standard_normal(k + q) + 1j * rng.standard_normal(k + q))
         grids.append(VariableGrid(f"x{l}", points[:k], points[k:]))
         counts.append(draw(st.integers(1, k)))
-    return OracleSource(parse("1", [g.name for g in grids]), grids), counts
+        supports.append(rng.choice(points, size=counts[-1], replace=False))
+    return OracleSource(parse("1", [g.name for g in grids]), grids), counts, supports
 
 
 def _assert_bitwise(lists, expected):
@@ -299,13 +305,16 @@ def _assert_bitwise(lists, expected):
 @settings(max_examples=80, deadline=None)
 @given(disjoint_sources_and_counts())
 def test_full_and_spread_columns_match_their_constructions_by_hand(case):
-    source, counts = case
+    source, counts, supports = case
+    spread = [g.spread_columns(k) for g, k in zip(source.grids, counts)]
+    chosen = [g.with_supports(s) for g, s in zip(source.grids, supports)]
     for selection, (cols, rows) in (
-        (Selection.full(source), _full_by_hand(source)),
-        (Selection.spread_columns(source, counts), _spread_by_hand(source, counts)),
+        (source.grids, _full_by_hand(source)),
+        (spread, _spread_by_hand(source, counts)),
+        (chosen, _supports_by_hand(source, supports)),
     ):
-        _assert_bitwise(selection.col_points, cols)
-        _assert_bitwise(selection.row_points, rows)
+        _assert_bitwise([g.column_points for g in selection], cols)
+        _assert_bitwise([g.row_points for g in selection], rows)
 
 
 def test_full_selection_refuses_a_repeated_column_point():
@@ -313,27 +322,35 @@ def test_full_selection_refuses_a_repeated_column_point():
     with pytest.raises(GridError, match=r"variable 's' repeats the grid point \(1\+0j\)"):
         VariableGrid("s", [1, 1, 3], [0, 2])
     # a selection given point by point is checked on its own
-    with pytest.raises(GridError, match="coincident column/row points"):
-        Selection([[1, 3]], [[0, 1, 2]])
+    with pytest.raises(GridError, match=r"variable 's' repeats the grid point \(1\+0j\)"):
+        VariableGrid("s", [1, 3], [0, 1, 2])
+    # and so is one drawn from a grid with a repeated support
+    with pytest.raises(GridError, match=r"variable 's' repeats the grid point \(1\+0j\)"):
+        VariableGrid("s", [1, 3], [0, 2]).with_supports([1, 1])
+
+
+def test_with_supports_refuses_an_off_grid_point():
+    grid = VariableGrid("s", [1, 3], [0, 2])
+    with pytest.raises(OffGridError, match=r"^\(2\.5\+0j\) is not a grid point of variable 's'$"):
+        grid.with_supports([1, 2.5])
 
 
 def test_spread_columns_keeps_endpoints(source_synth2d):
-    selection = Selection.spread_columns(source_synth2d, [5, 4])
-    np.testing.assert_allclose(selection.col_points[0].real, [-1, -0.6, 0, 0.6, 1])
-    np.testing.assert_allclose(selection.col_points[1].real, [0, 0.3, 0.7, 1])
+    s, p = (g.spread_columns(k) for g, k in zip(source_synth2d.grids, [5, 4]))
+    np.testing.assert_allclose(s.column_points.real, [-1, -0.6, 0, 0.6, 1])
+    np.testing.assert_allclose(p.column_points.real, [0, 0.3, 0.7, 1])
     # leftovers become rows
-    assert selection.row_points[0].size == 21 - 5
+    assert s.row_points.size == 21 - 5
     # every count of every list up to 60 points: distinct, increasing, endpoints kept
     for n in range(1, 61):
         grid = VariableGrid("s", np.arange(n, dtype=float), np.arange(n) + 0.5)
-        source = OracleSource(parse("s", ["s"]), [grid])
         for k in range(1, n + 1):
-            selection = Selection.spread_columns(source, [k])
-            cols = selection.col_points[0].real
+            selection = grid.spread_columns(k)
+            cols = selection.column_points.real
             assert cols.size == k
             assert np.all(np.diff(cols) > 0)
             assert cols[0] == 0 and (k == 1 or cols[-1] == n - 1)
             rest = np.setdiff1d(np.arange(n), cols)
             np.testing.assert_array_equal(
-                selection.row_points[0].real, np.concatenate([rest, grid.row_points.real])
+                selection.row_points.real, np.concatenate([rest, grid.row_points.real])
             )

@@ -16,7 +16,6 @@ from mvloewner import (
     LoewnerMatrix,
     MemoryGuardError,
     OracleSource,
-    Selection,
     Tableau,
     VariableGrid,
     build_loewner_1d,
@@ -102,9 +101,8 @@ def test_build_nd_single_variable_matches_1d_bitwise(source_1d):
 
 def test_memory_guard_refuses_large_build(source_synth2d, monkeypatch):
     monkeypatch.setattr("mvloewner.loewner.DEFAULT_MEMORY_GUARD", 100)
-    selection = Selection.full(source_synth2d)
     with pytest.raises(MemoryGuardError) as info:
-        build_loewner_nd(source_synth2d, selection)
+        build_loewner_nd(source_synth2d, source_synth2d.grids)
     assert info.value.estimated_bytes == 16 * (11 * 11) * (10 * 10)
     assert info.value.limit_bytes == 100
 
@@ -175,11 +173,9 @@ def test_sylvester_residual_random_datasets():
 
 def _unblocked_entries(source):
     """The Loewner matrix by the one-shot formula, as a reference for the blocked build."""
-    selection = Selection.full(source)
-    pairs = zip(selection.col_points, selection.row_points)
-    diffs = [np.subtract.outer(rows, cols) for cols, rows in pairs]
-    w = source.values_on_product(selection.col_points).reshape(-1)
-    v = source.values_on_product(selection.row_points).reshape(-1)
+    diffs = [np.subtract.outer(g.row_points, g.column_points) for g in source.grids]
+    w = source.values_on_product([g.column_points for g in source.grids]).reshape(-1)
+    v = source.values_on_product([g.row_points for g in source.grids]).reshape(-1)
     return (v[:, None] - w[None, :]) / functools.reduce(np.kron, diffs)
 
 
@@ -229,7 +225,7 @@ def test_loewner_times_weights_is_the_model_residual_on_its_rows(seed, shape):
 
     Random samples and weights, supports a random subset of each variable's
     union points; the Loewner matrix is the dense one over
-    ``Selection.from_supports``, whose rows are the other union points.
+    ``VariableGrid.with_supports``, whose rows are the other union points.
     """
     rng = np.random.default_rng(seed)
     grids, supports = [], []
@@ -243,17 +239,18 @@ def test_loewner_times_weights_is_the_model_residual_on_its_rows(seed, shape):
     total = int(np.prod([s.size for s in supports]))
     c = rng.normal(size=total) + 1j * rng.normal(size=total)
     model = make_model(supports, c, source.values_on_product(supports))
-    selection = Selection.from_supports(source, supports)
+    selection = [g.with_supports(s) for g, s in zip(source.grids, supports)]
+    row_points = [g.row_points for g in selection]
 
     lm = build_loewner_nd(source, selection)
-    mesh = np.meshgrid(*selection.row_points, indexing="ij")
+    mesh = np.meshgrid(*row_points, indexing="ij")
     rows = np.stack([axis.reshape(-1) for axis in mesh], axis=1)
     factors = model_module._point_factors(model.support_points, rows)
     denominator, numerator = model_module._contract_points(model.weights, factors).T
-    v = source.values_on_product(selection.row_points).reshape(-1)
+    v = source.values_on_product(row_points).reshape(-1)
     residual = np.abs(lm.entries @ c - (v * denominator - numerator))
     # both sides sum the same terms (v_i - w_J) c_J / prod_l (mu - lambda)
-    pairs = zip(selection.row_points, supports)
+    pairs = zip(row_points, supports)
     cauchy = np.abs(functools.reduce(np.kron, [1 / np.subtract.outer(r, s) for r, s in pairs]))
     scale = np.abs(v) * (cauchy @ np.abs(c)) + cauchy @ np.abs(model.weights_beta)
     assert np.all(residual <= 1e-13 * scale)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mvloewner import (
     EvaluationError,
     OracleSource,
-    Selection,
     VariableGrid,
     cascaded_nullspace,
     evaluate,
@@ -195,7 +194,7 @@ def test_cascade_weights_and_anchors_match_meshgrid_sampling(monkeypatch):
         points = np.linspace(1.0, 3.0, 8) + 0.1 * l
         grids.append(VariableGrid(name, points[0::2], points[1::2]))
     source = OracleSource(parse(text, names), grids)
-    selection = Selection.spread_columns(source, (3, 2, 3, 3))
+    selection = [g.spread_columns(k) for g, k in zip(source.grids, (3, 2, 3, 3))]
     # c and d first, so that the later levels read c/(d+4) as a scalar at every support pair
     order = (2, 3, 0, 1)
     opened = cascaded_nullspace(source, selection=selection, order=order)
