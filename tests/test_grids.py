@@ -36,10 +36,15 @@ def test_disjoint_reports_duplicate():
         ([0.1, 0.1, 0.9], [0.2, 0.4, 0.6, 0.8], r"\(0\.1\+0j\)"),
         ([1, 2], [3, 3j, 3], r"\(3\+0j\)"),
         ([0.0, 1.0], [-0.0], r"0j"),
-        ([1.0, 2.0], [2.0, 3.0], r"\(2\+0j\)"),
     ):
         with pytest.raises(GridError, match=f"variable 's' repeats the grid point {repeated}"):
             VariableGrid("s", cols, rows)
+
+
+def test_selection_rejects_coincident_points():
+    # a selection is its variables' grids, so a point both a column and a row is refused there
+    with pytest.raises(GridError, match=r"variable 's' repeats the grid point \(2\+0j\)"):
+        VariableGrid("s", [1.0, 2.0], [2.0, 3.0])
 
 
 def test_single_column_point_is_fine():
