@@ -265,7 +265,6 @@ def _level_pass(source, selection, order, anchors):
     vanishes and ``variable`` must be re-anchored at ``index``.
     """
     cols = [g.column_points for g in selection]
-    rows = [g.row_points for g in selection]
     frozen = [c[a : a + 1] for c, a in zip(cols, anchors)]
     factors = []
     for level, variable in enumerate(order):
@@ -279,9 +278,9 @@ def _level_pass(source, selection, order, anchors):
                 per_var[v] = cols[v][j : j + 1]
             per_var[variable] = cols[variable]
             col_vals = source.values_on_product(per_var).reshape(-1)
-            per_var[variable] = rows[variable]
+            per_var[variable] = selection[variable].row_points
             row_vals = source.values_on_product(per_var).reshape(-1)
-            lm = build_loewner_1d(cols[variable], rows[variable], col_vals, row_vals)
+            lm = build_loewner_1d(selection[variable], col_vals, row_vals)
             result = nullspace_vector(lm, anchor=anchors[variable])
             if result.rank < k - 1:
                 frozen_desc = {

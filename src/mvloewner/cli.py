@@ -54,9 +54,13 @@ def write_json_atomic(document, path):
 def write_text_atomic(text, path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -287,6 +291,10 @@ def cmd_plot_data(args):
             key = key.strip()
             if key not in names:
                 raise MvLoewnerError(f"unknown frozen variable {key!r}")
+            if key == name:
+                raise MvLoewnerError(f"variable {key!r} is both swept and frozen")
+            if key in frozen:
+                raise MvLoewnerError(f"variable {key!r} is frozen twice")
             frozen[key] = _finite_complex(value)
     _guard_dense(count, len(names))  # the (count, n) sweep points
     sweep_index = names.index(name)

@@ -3,10 +3,11 @@
 Expressions act as sampling oracles for high-dimensional test functions
 where a dense measurement tensor would be too large to materialize.  The
 grammar covers exactly the rational-function vocabulary: numeric literals,
-``pi``, declared variable names, unary minus, ``+ - * /`` and nonnegative
-integer powers written ``base^exponent``.  Precedence from tightest to
-loosest is power, unary minus, multiply/divide, add/subtract; binary
-operators of equal precedence associate to the left.
+``pi``, declared variable names (identifiers other than ``pi``), unary
+minus, ``+ - * /`` and nonnegative integer powers written
+``base^exponent``.  Precedence from tightest to loosest is power, unary
+minus, multiply/divide, add/subtract; binary operators of equal
+precedence associate to the left.
 """
 
 from __future__ import annotations
@@ -191,6 +192,19 @@ class _Parser:
         raise ExpressionError(f"unexpected token {tok.text!r}", tok.position)
 
 
+def _check_name(name):
+    """Refuse a variable name that an expression cannot address: ``pi`` or not one identifier."""
+    try:
+        tokens = _tokenize(name) if isinstance(name, str) else []
+    except ExpressionError:
+        tokens = []
+    if name == "pi" or [(t.kind, t.text) for t in tokens] != [("ident", name), ("end", "")]:
+        raise ExpressionError(
+            f"variable name {name!r} cannot appear in an expression: "
+            "it must be one identifier other than 'pi'"
+        )
+
+
 def parse(text, variable_names):
     """Parse ``text`` into an expression tree over the declared variables.
 
@@ -209,9 +223,12 @@ def parse(text, variable_names):
     Raises
     ------
     ExpressionError
-        On empty input, syntax errors, unknown identifiers, and negative
-        or non-integer exponents; carries the offending position.
+        On a declared name that is ``pi`` or not one identifier, empty
+        input, syntax errors, unknown identifiers, and negative or
+        non-integer exponents; carries the offending position.
     """
+    for name in variable_names:
+        _check_name(name)
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
     parser = _Parser(text, variable_names)

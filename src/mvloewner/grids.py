@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,14 @@ def _as_complex_vector(values, what):
 
 @dataclass(frozen=True, eq=False)
 class VariableGrid:
-    """One variable's support (column) and complementary (row) points."""
+    """One variable's support (column) and complementary (row) points, read-only
+    views of the one buffer ``union_points`` (columns first) that the grid owns."""
 
     name: str
     column_points: np.ndarray
     row_points: np.ndarray
+    union_points: np.ndarray
+    _order: np.ndarray = field(repr=False)
 
     def __init__(self, name, column_points, row_points=()):
         object.__setattr__(self, "name", str(name))
@@ -49,35 +52,34 @@ class VariableGrid:
         rows = _as_complex_vector(row_points, f"row points of {name!r}")
         if cols.size < 1:
             raise GridError(f"variable {name!r} needs at least one column point")
-        # one sort; a repeat sits next to its twin
-        points = np.sort(np.concatenate([cols, rows]))
-        repeats = np.flatnonzero(points[1:] == points[:-1])
+        union = np.concatenate([cols, rows])  # a copy: the caller's arrays stay theirs
+        # one stable sort, kept for lookups; a repeat sits next to its twin
+        order = np.argsort(union, kind="stable")
+        ordered = union[order]
+        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
         if repeats.size:
-            raise GridError(f"variable {name!r} repeats the grid point {points[repeats[0]]}")
-        object.__setattr__(self, "column_points", cols)
-        object.__setattr__(self, "row_points", rows)
-
-    @property
-    def union_points(self):
-        """All grid points, columns first."""
-        return np.concatenate([self.column_points, self.row_points])
+            raise GridError(f"variable {name!r} repeats the grid point {ordered[repeats[0]]}")
+        union.flags.writeable = order.flags.writeable = False
+        object.__setattr__(self, "union_points", union)
+        object.__setattr__(self, "column_points", union[: cols.size])
+        object.__setattr__(self, "row_points", union[cols.size :])
+        object.__setattr__(self, "_order", order)
 
     def indices_of(self, values):
         """Union-grid index of each of ``values`` (exact equality).
 
-        One stable sort of the union grid and one binary search per value,
-        so memory stays O(len(values) + len(union grid)).  Raises
-        :class:`OffGridError` naming the first value not on the grid.
+        One binary search per value in the grid's kept sort, so memory
+        stays O(len(values)).  Raises :class:`OffGridError` naming the
+        first value not on the grid.
         """
         values = np.atleast_1d(np.asarray(values, dtype=complex))
-        pool = self.union_points
-        order = np.argsort(pool, kind="stable")
-        pos = np.minimum(np.searchsorted(pool[order], values), pool.size - 1)
-        found = pool[order[pos]] == values
+        pool, order = self.union_points, self._order
+        index = order[np.minimum(np.searchsorted(pool, values, sorter=order), pool.size - 1)]
+        found = pool[index] == values
         if not np.all(found):
             missing = values[~found][0]
             raise OffGridError(f"{missing} is not a grid point of variable {self.name!r}")
-        return order[pos]
+        return index
 
     def with_supports(self, points):
         """The given grid points as columns, every other union point as rows, in union order."""
@@ -314,6 +316,8 @@ def _grids_from_json(entries):
     grids = []
     for l, entry in enumerate(entries):
         name = _json_typed(entry, dict, f"variables entry {l}")["name"]
+        if str(name) in (g.name for g in grids):
+            raise GridError(f"the data file declares the variable {name!r} twice")
         grids.append(
             VariableGrid(
                 name,

@@ -56,29 +56,24 @@ class SylvesterOperands:
     v: np.ndarray
 
 
-def _check_disjoint_1d(col_pts, row_pts):
-    cross = np.subtract.outer(np.asarray(row_pts, complex), np.asarray(col_pts, complex))
-    if np.any(cross == 0):
-        raise GridError("coincident column and row points")
-    return cross
+def build_loewner_1d(grid, col_vals, row_vals):
+    """Single-variable Loewner matrix over ``grid``, entries (v_i - w_j)/(mu_i - lambda_j).
 
-
-def build_loewner_1d(col_pts, row_pts, col_vals, row_vals):
-    """Single-variable Loewner matrix with entries (v_i - w_j)/(mu_i - lambda_j).
-
-    Value arrays with leading axes give a stack of matrices over the same
-    points: ``col_vals`` of shape ``(..., k)`` and ``row_vals`` of shape
-    ``(..., q)`` give entries of shape ``(..., q, k)``.
+    A :class:`~mvloewner.grids.VariableGrid` holds no repeated point, so
+    every divisor is nonzero.  Value arrays with leading axes give a stack
+    of matrices over the same grid: ``col_vals`` of shape ``(..., k)`` and
+    ``row_vals`` of shape ``(..., q)`` give entries of shape ``(..., q, k)``.
     """
-    col_pts = np.asarray(col_pts, dtype=complex)
-    row_pts = np.asarray(row_pts, dtype=complex)
     w = np.asarray(col_vals, dtype=complex)
     v = np.asarray(row_vals, dtype=complex)
-    if col_pts.size != w.shape[-1] or row_pts.size != v.shape[-1]:
-        raise GridError("point and value lists must have matching lengths")
-    diffs = _check_disjoint_1d(col_pts, row_pts)
-    entries = (v[..., :, None] - w[..., None, :]) / diffs
-    return LoewnerMatrix(entries)
+    k, q = grid.column_points.size, grid.row_points.size
+    if w.shape[-1:] != (k,) or v.shape[-1:] != (q,):
+        raise GridError(
+            f"variable {grid.name!r} has {k} column and {q} row points, "
+            f"got values of shape {w.shape} and {v.shape}"
+        )
+    diffs = np.subtract.outer(grid.row_points, grid.column_points)
+    return LoewnerMatrix((v[..., :, None] - w[..., None, :]) / diffs)
 
 
 def _kron_of(vectors_or_matrices):
@@ -121,7 +116,7 @@ def build_loewner_nd(source, selection=None):
     row_points = [g.row_points for g in grids]
     rows, cols = math.prod(p.size for p in row_points), math.prod(p.size for p in col_points)
     _guard_dense(rows, cols)
-    diff_mats = [_check_disjoint_1d(c, r) for c, r in zip(col_points, row_points)]
+    diff_mats = [np.subtract.outer(g.row_points, g.column_points) for g in grids]
     w = source.values_on_product(col_points).reshape(-1)
     v = source.values_on_product(row_points).reshape(-1)
     entries = np.empty((rows, cols), dtype=complex)
@@ -303,7 +298,7 @@ def detect_orders(source, sample_budget=10, rel_tol=DEFAULT_RANK_TOL, seed=0):
         # one index row per fiber point: the combination with ``free`` spliced in at l
         fibers = np.insert(np.repeat(combos, free.size, axis=0), l, np.tile(free, len(combos)), 1)
         values = source.values_at_indices(fibers).reshape(-1, free.size)
-        lm = build_loewner_1d(grid.column_points, grid.row_points, values[:, :k], values[:, k:])
+        lm = build_loewner_1d(grid, values[:, :k], values[:, k:])
         best = int(np.max(numerical_rank(np.linalg.svd(lm.entries, compute_uv=False), rel_tol)))
         degrees.append(best)
         saturated.append(best >= min(k, q))

@@ -85,6 +85,9 @@ def make_model(support, c, w, names=None):
         names = tuple(str(n) for n in names)
         if len(names) != len(support):
             raise GridError("one name per variable required")
+        repeated = [n for l, n in enumerate(names) if n in names[:l]]
+        if repeated:
+            raise GridError(f"the model declares the variable {repeated[0]!r} twice")
     with np.errstate(all="ignore"):
         beta = c * w
     if not np.all(np.isfinite(beta)):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -776,6 +778,85 @@ def test_plot_data_refuses_an_unknown_frozen_variable(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown frozen variable 'T'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "frozen, refused",
+    [
+        ("t=0.5,s=9", "variable 's' is both swept and frozen"),
+        ("t=0.5,t=9", "variable 't' is frozen twice"),
+    ],
+)
+def test_plot_data_refuses_a_swept_or_twice_frozen_variable(tmp_path, capsys, frozen, refused):
+    # both used to print the sweep, ignoring s=9 or keeping the last value of t
+    model = make_model([[0, 2], [1, 3]], np.ones(4), np.arange(4.0), names=["s", "t"])
+    path = _write_json(tmp_path / "m.json", model_to_dict(model))
+    assert main(["plot-data", "--model", path, "--sweep", "s=-1:1:3", "--frozen", frozen]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused}\n"
+
+
+REPEATED_NAMES = {
+    "variables": [
+        {"name": "s", "lambda": [[1, 0], [3, 0], [5, 0]], "mu": [[2, 0], [4, 0], [6, 0]]},
+        {"name": "s", "lambda": [[-1, 0], [-3, 0]], "mu": [[-2, 0], [-4, 0]]},
+    ],
+    "expression": "(s^2+1)/(s+7)",
+}
+DATA_TWICE = "the data file declares the variable 's' twice"
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["order-detect", "--data", "{data}"], DATA_TWICE),
+        (["fit", "--data", "{data}", "--out", "{out}"], DATA_TWICE),
+        (["verify", "--model", "{model}", "--data", "{data}"], DATA_TWICE),
+        (["eval", "--model", "{model}", "--point", "2.5,-1.5"], "the model declares the variable 's' twice"),
+        (
+            ["fit", "--data", "{pi}", "--out", "{out}"],
+            "variable name 'pi' cannot appear in an expression: "
+            "it must be one identifier other than 'pi'",
+        ),
+    ],
+)
+def test_a_name_an_expression_cannot_address_is_an_input_error(tmp_path, capsys, argv, refused):
+    # fit used to keep only the last s (degrees [0, 1]), and to fit pi as the constant 1/(pi+2)
+    model = make_model([[1, 3], [-1, -3]], np.ones(4), np.ones(4), names=["s", "t"])
+    model_doc = model_to_dict(model)
+    model_doc["variables"] = ["s", "s"]
+    pi_grid = dict(REPEATED_NAMES["variables"][0], name="pi")
+    pi_doc = {"variables": [pi_grid], "expression": "1/(pi+2)"}
+    paths = {
+        "data": _write_json(tmp_path / "repeated.json", REPEATED_NAMES),
+        "model": _write_json(tmp_path / "model.json", model_doc),
+        "pi": _write_json(tmp_path / "pi.json", pi_doc),
+        "out": str(tmp_path / "out.json"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_mode_open_would_give(oracle_2d_file, tmp_path, capsys, umask):
+    # mkstemp's 0600 used to survive the rename, also over an existing file
+    out = tmp_path / "model.json"
+    previous = os.umask(umask)
+    try:
+        assert main(["fit", "--data", oracle_2d_file, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        out.chmod(0o600)
+        assert main(["fit", "--data", oracle_2d_file, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        opened = tmp_path / "opened.txt"
+        opened.write_text("")
+        assert stat.S_IMODE(opened.stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(previous)
 
 
 @pytest.mark.parametrize("command", ["order-detect", "fit", "fit-adaptive", "verify"])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def test_unknown_identifier_rejected_with_position():
     with pytest.raises(ExpressionError) as info:
         parse("s + qq", ["s"])
     assert info.value.position == 4
+
+
+@pytest.mark.parametrize("name", ["pi", "a b", " s", "x-1", "2x", "", 5])
+def test_a_declared_name_an_expression_cannot_address_is_refused(name):
+    # "pi" would read as the constant, and the others are no single identifier
+    message = f"variable name {re.escape(repr(name))} cannot appear in an expression"
+    with pytest.raises(ExpressionError, match=message):
+        parse("1", ["s", name])
 
 
 def test_empty_and_trailing_input():

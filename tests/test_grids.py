@@ -47,6 +47,27 @@ def test_selection_rejects_coincident_points():
         VariableGrid("s", [1.0, 2.0], [2.0, 3.0])
 
 
+def test_a_grid_is_unchanged_when_the_caller_mutates_its_input():
+    cols = np.array([1, 2, 3], dtype=complex)
+    rows = np.array([4, 5], dtype=complex)
+    grid = VariableGrid("s", cols, rows)
+    cols[0], rows[1] = 4, 1  # would repeat 4, and move 5 off the grid
+    np.testing.assert_array_equal(grid.union_points, [1, 2, 3, 4, 5])
+    np.testing.assert_array_equal(grid.column_points, [1, 2, 3])
+    np.testing.assert_array_equal(grid.indices_of([5, 1]), [4, 0])
+
+
+def test_a_grids_arrays_are_read_only_views_of_one_buffer():
+    grid = VariableGrid("s", [1, 3, 5], [2, 4])
+    assert grid.column_points.base is grid.union_points
+    assert grid.row_points.base is grid.union_points
+    np.testing.assert_array_equal(grid.union_points, [1, 3, 5, 2, 4])
+    for points in (grid.union_points, grid.column_points, grid.row_points):
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 3
+
+
 def test_single_column_point_is_fine():
     source = OracleSource(parse("s", ["s"]), [VariableGrid("s", [0], [])])
     np.testing.assert_array_equal(source.values_on_product([[0]]), [0])

@@ -52,25 +52,35 @@ L1_EXPECTED = np.array(
 def test_build_1d_reproduces_divided_differences():
     cols = [1, 3, 5]
     rows = [2, 4, 6, 8]
-    lm = build_loewner_1d(cols, rows, [_h1(s) for s in cols], [_h1(s) for s in rows])
+    grid = VariableGrid("s", cols, rows)
+    lm = build_loewner_1d(grid, [_h1(s) for s in cols], [_h1(s) for s in rows])
     np.testing.assert_allclose(lm.entries.real, L1_EXPECTED, atol=1e-14)
     assert lm.entries[0, 0] == pytest.approx(1 / 6)
     np.testing.assert_allclose(lm.entries[1].real, [1 / 2, 3 / 4, 5 / 6], atol=1e-15)
 
 
 def test_build_1d_constant_function_gives_zero_matrix():
-    lm = build_loewner_1d([0, 1, 2], [3, 4], [5, 5, 5], [5, 5])
+    lm = build_loewner_1d(VariableGrid("s", [0, 1, 2], [3, 4]), [5, 5, 5], [5, 5])
     assert np.all(lm.entries == 0)
 
 
 def test_build_1d_identity_function_gives_ones():
-    lm = build_loewner_1d([0, 1], [2, 3], [0, 1], [2, 3])
+    lm = build_loewner_1d(VariableGrid("s", [0, 1], [2, 3]), [0, 1], [2, 3])
     np.testing.assert_array_equal(lm.entries, np.ones((2, 2)))
 
 
-def test_build_1d_rejects_coincident_points():
-    with pytest.raises(GridError, match="coincident"):
-        build_loewner_1d([1, 2], [2, 3], [0, 0], [0, 0])
+def test_build_1d_rejects_values_that_do_not_match_the_grid():
+    # coincident points cannot reach the builder: the grid refuses them (test_grids.py)
+    grid = VariableGrid("s", [1, 2], [3, 4, 5])
+    message = r"variable 's' has 2 column and 3 row points, got values of shape "
+    for w, v, shapes in (
+        ([0, 0, 0], [0, 0, 0], r"\(3,\) and \(3,\)"),
+        ([0, 0], [0, 0], r"\(2,\) and \(2,\)"),
+        (np.zeros((4, 2)), np.zeros((4, 2)), r"\(4, 2\) and \(4, 2\)"),
+        (0, [0, 0, 0], r"\(\) and \(3,\)"),
+    ):
+        with pytest.raises(GridError, match=message + shapes):
+            build_loewner_1d(grid, w, v)
 
 
 def test_build_nd_2d_entries_and_rank(source_2d):
@@ -92,10 +102,9 @@ def test_build_nd_3d_rank(source_3d):
 
 def test_build_nd_single_variable_matches_1d_bitwise(source_1d):
     nd = build_loewner_nd(source_1d)
-    cols = source_1d.grids[0].column_points
-    rows = source_1d.grids[0].row_points
-    values = source_1d.values_on_product([source_1d.grids[0].union_points])
-    direct = build_loewner_1d(cols, rows, values[:3], values[3:])
+    grid = source_1d.grids[0]
+    values = source_1d.values_on_product([grid.union_points])
+    direct = build_loewner_1d(grid, values[:3], values[3:])
     np.testing.assert_array_equal(nd.entries, direct.entries)
 
 
@@ -424,7 +433,7 @@ def detect_orders_loop(source, sample_budget, rel_tol, seed):
         for combo in combos:
             per_var = [grid.union_points if i == l else [combo[i]] for i in range(n)]
             values = source.values_on_product(per_var).reshape(-1)
-            lm = build_loewner_1d(cols, rows, values[: cols.size], values[cols.size :])
+            lm = build_loewner_1d(grid, values[: cols.size], values[cols.size :])
             sigma = np.linalg.svd(lm.entries, compute_uv=False)
             best = max(best, int(numerical_rank(sigma, rel_tol)))
         degrees.append(best)
@@ -488,10 +497,11 @@ def test_stacked_build_1d_matches_per_slice_builds(seed, k, q, lead):
     points = rng.permutation(np.linspace(-1, 1, k + q)) * np.exp(1j * rng.uniform(0, 1))
     w = rng.normal(size=(*lead, k)) + 1j * rng.normal(size=(*lead, k))
     v = rng.normal(size=(*lead, q)) + 1j * rng.normal(size=(*lead, q))
-    stacked = build_loewner_1d(points[:k], points[k:], w, v)
+    grid = VariableGrid("s", points[:k], points[k:])
+    stacked = build_loewner_1d(grid, w, v)
     assert stacked.shape == (*lead, q, k)
     for index in np.ndindex(*lead):
-        single = build_loewner_1d(points[:k], points[k:], w[index], v[index])
+        single = build_loewner_1d(grid, w[index], v[index])
         np.testing.assert_array_equal(stacked.entries[index], single.entries)
 
 
